@@ -5,8 +5,8 @@ Two workload families, each run both ways with result parity asserted:
 * **explore** — exhaustive schedule enumeration of executable protocols
   (a deep synthetic protocol and a synthesized Figure 7 protocol) through
   the prefix-tree enumerator (``explore_schedules``, forks ``Execution``
-  state incrementally) vs the old replay-from-scratch DFS kept as
-  ``_explore_schedules_replay``;
+  state incrementally) vs the old replay-from-scratch DFS kept as the
+  trace-order reference in ``tests/runtime/replay_explorer.py``;
 * **campaign** — a zoo slice through :func:`repro.runtime.run_campaign`
   serially vs over a worker pool.
 
@@ -26,9 +26,10 @@ import pytest
 
 from repro.perf import PerfHarness, validate_report
 from repro.runtime.conformance import ConformanceConfig, run_campaign
-from repro.runtime.scheduler import _explore_schedules_replay, explore_schedules
+from repro.runtime.scheduler import explore_schedules
 from repro.runtime.synthesis import synthesize_protocol
 from repro.tasks.zoo import identity_task
+from tests.runtime.replay_explorer import explore_schedules_replay
 
 pytestmark = pytest.mark.perf
 
@@ -63,7 +64,7 @@ def _bench_enumeration(report, label, n, factories, limit, meta):
     replay, m_replay = _HARNESS.measure(
         f"explore:{label}:replay",
         _drain,
-        _explore_schedules_replay,
+        explore_schedules_replay,
         n,
         factories,
         limit,

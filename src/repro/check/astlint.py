@@ -26,11 +26,6 @@ Rules (see ``docs/static_analysis.md`` for examples):
 ``RC405``
     No unseeded randomness or wall-clock reads in census/task-generation
     code (``repro.analysis``, ``repro.tasks.zoo.random_tasks``).
-``RC406``
-    No legacy simplex-object construction (``Simplex``, ``Vertex``,
-    ``SimplicialComplex``, …) inside loops of the bit-packed kernels in
-    :mod:`repro.topology.bitcore` — the whole point of that module is to
-    stay in packed integers; decode helpers at the boundary are exempt.
 
 All rules are pure functions of a single file's AST; ``lint_source`` lints
 one source string (unit-testable) and ``lint_paths`` walks a tree.
@@ -66,7 +61,6 @@ MEMOIZED_QUERIES: FrozenSet[str] = frozenset(
         "is_connected",
         "connected_components",
         "is_link_connected",
-        "_graph",
         "_bits",
     }
 )
@@ -113,14 +107,6 @@ _NONDETERMINISTIC_CALLS: FrozenSet[str] = frozenset(
     }
 )
 
-#: modules whose loops must stay in packed integers (RC406)
-_BITCORE_MODULES: FrozenSet[str] = frozenset({"topology/bitcore.py"})
-
-#: legacy simplex-object constructors banned in bitcore hot loops
-_LEGACY_CONSTRUCTORS: FrozenSet[str] = frozenset(
-    {"Simplex", "Vertex", "SimplicialComplex", "ChromaticComplex", "Barycenter"}
-)
-
 #: unseeded module-level random functions banned in the determinism scope
 _RANDOM_MODULE_FNS: FrozenSet[str] = frozenset(
     {
@@ -144,7 +130,6 @@ LINT_RULES: Dict[str, str] = {
     "RC403": "memoized-call-in-caching-disabled",
     "RC404": "mutable-topology-dataclass",
     "RC405": "nondeterministic-generation",
-    "RC406": "legacy-construction-in-bitcore-loop",
     "RC407": "unknown-suppression-code",
 }
 
@@ -168,9 +153,6 @@ class _FileLinter(ast.NodeVisitor):
         self.diagnostics: List[Diagnostic] = []
         self._cache_aliases: Set[str] = set()
         self._disabled_depth = 0
-        self._loop_depth = 0
-        self._func_stack: List[str] = []
-        self.in_bitcore = relpath in _BITCORE_MODULES
         self.in_topology_core = relpath in _TOPOLOGY_CORE
         self.in_determinism_scope = any(
             relpath.startswith(p) if p.endswith("/") else relpath == p
@@ -286,35 +268,6 @@ class _FileLinter(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    # -- loop / function tracking (RC406 scope) ----------------------------
-
-    def _visit_loop(self, node: ast.AST) -> None:
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
-    visit_For = _visit_loop
-    visit_AsyncFor = _visit_loop
-    visit_While = _visit_loop
-    visit_ListComp = _visit_loop
-    visit_SetComp = _visit_loop
-    visit_DictComp = _visit_loop
-    visit_GeneratorExp = _visit_loop
-
-    def _visit_funcdef(self, node: ast.AST) -> None:
-        self._func_stack.append(getattr(node, "name", ""))
-        # a nested function starts its own loop context
-        outer_depth, self._loop_depth = self._loop_depth, 0
-        self.generic_visit(node)
-        self._loop_depth = outer_depth
-        self._func_stack.pop()
-
-    visit_FunctionDef = _visit_funcdef
-    visit_AsyncFunctionDef = _visit_funcdef
-
-    def _in_decode_helper(self) -> bool:
-        return any(name.lstrip("_").startswith("decode") for name in self._func_stack)
-
     # -- RC401: the object.__setattr__ escape hatch ------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -338,20 +291,6 @@ class _FileLinter(ast.NodeVisitor):
                     node,
                     _dotted(node.func) or node.func.attr,
                 )
-        if (
-            self.in_bitcore
-            and self._loop_depth > 0
-            and dotted is not None
-            and dotted.split(".")[-1] in _LEGACY_CONSTRUCTORS
-            and not self._in_decode_helper()
-        ):
-            self._emit(
-                "RC406",
-                f"legacy constructor {dotted}() in a bitcore loop — packed "
-                "kernels must stay in integers (decode at the boundary)",
-                node,
-                dotted,
-            )
         if self.in_determinism_scope and dotted is not None:
             parts = dotted.split(".")
             tail = ".".join(parts[-2:]) if len(parts) >= 2 else dotted

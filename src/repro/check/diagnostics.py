@@ -194,16 +194,6 @@ CODES: Mapping[str, CodeInfo] = _registry(
         "wall-clock source, breaking seed-reproducibility of aggregates.",
     ),
     CodeInfo(
-        "RC406",
-        "legacy-construction-in-bitcore-loop",
-        2,
-        "lint",
-        "A loop in repro.topology.bitcore constructs legacy simplex "
-        "objects (Simplex, Vertex, SimplicialComplex, …); the packed "
-        "kernels must stay in integer bit masks, decoding only at the "
-        "boundary.",
-    ),
-    CodeInfo(
         "RC407",
         "unknown-suppression-code",
         2,

@@ -21,12 +21,11 @@ The implementation follows the figure's numbered steps.  Three notes:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
-
-import networkx as nx
+from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Tuple
 
 from ..tasks.task import Task
 from ..topology.complexes import SimplicialComplex
+from ..topology.homology import bfs_forest
 from ..topology.simplex import Simplex, Vertex, vertex_sort_key
 
 #: A color-agnostic sub-protocol: ``(pid, input_vertex) -> generator`` whose
@@ -88,12 +87,27 @@ def _canonical_path(
     """Lexicographically-smallest shortest ``(a, b)``-path in a link graph.
 
     Identified, as in the paper, with the sorted set of vertex numbers, so
-    both endpoints compute the same path.
+    both endpoints compute the same path.  Each vertex of a shortest path
+    sits at its own distance from ``a``, so the vertex set determines the
+    path and the minimum does not depend on enumeration order.  Raises
+    :class:`ValueError` when no path joins ``a`` and ``b``.
     """
-    g = link.graph()
-    paths = nx.all_shortest_paths(g, a, b)
-    best = min(paths, key=lambda p: tuple(sorted(numbering[v] for v in p)))
-    return list(best)
+    _, dist = bfs_forest(link, [a] if a in link.vertices else [])
+    if b not in dist:
+        raise ValueError(f"no path joins {a!r} and {b!r} in the link")
+    adj = link.adjacency()
+
+    def paths_to(v: Vertex) -> Iterator[List[Vertex]]:
+        # every predecessor on a shortest path sits one BFS layer closer to a
+        if v == a:
+            yield [a]
+            return
+        for u in adj[v]:
+            if dist.get(u) == dist[v] - 1:
+                for p in paths_to(u):
+                    yield p + [v]
+
+    return min(paths_to(b), key=lambda p: tuple(sorted(numbering[v] for v in p)))
 
 
 def chromatic_agreement_process(

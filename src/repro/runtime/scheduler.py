@@ -289,11 +289,12 @@ def explore_schedules(
     generators are rebuilt from their op-result logs, so the common prefix
     is never re-stepped through the scheduler.  This replaces a
     replay-from-scratch DFS that cost O(executions × steps) in re-stepping
-    (kept as :func:`_explore_schedules_replay` for benchmarking).
+    (kept under ``tests/runtime/replay_explorer.py`` as the trace-order
+    reference).
 
-    Traces are yielded in the same lexicographic (smallest pid first)
-    order as the replay enumerator.  The number of interleavings explodes
-    with step count, so callers cap with ``max_executions``.
+    Traces are yielded in lexicographic (smallest pid first) order, as
+    the replay enumerator yields them.  The number of interleavings
+    explodes with step count, so callers cap with ``max_executions``.
     """
     count = 0
     root = Execution(
@@ -322,41 +323,3 @@ def explore_schedules(
                 return
         else:
             stack.append((child, list(child.runnable())))
-
-
-def _explore_schedules_replay(
-    n: int,
-    factories: Dict[int, ProcessFactory],
-    max_executions: Optional[int] = None,
-    max_steps: int = 10_000,
-) -> Iterator[ExecutionTrace]:
-    """The original replay-from-scratch DFS enumerator.
-
-    Re-steps every prefix through a fresh :class:`Execution` for each node
-    it visits.  Kept only as the baseline that
-    ``benchmarks/bench_conformance.py`` measures :func:`explore_schedules`
-    against; both enumerate the same traces in the same order.
-    """
-    count = 0
-    stack: List[List[int]] = [[]]
-    while stack:
-        prefix = stack.pop()
-        execution = Execution(
-            n, {pid: make(pid) for pid, make in factories.items()}, max_steps=max_steps
-        )
-        ok = True
-        for pid in prefix:
-            if pid not in execution.runnable():
-                ok = False
-                break
-            execution.step(pid)
-        if not ok:
-            continue
-        if execution.done():
-            yield execution.trace
-            count += 1
-            if max_executions is not None and count >= max_executions:
-                return
-            continue
-        for pid in reversed(execution.runnable()):
-            stack.append(prefix + [pid])

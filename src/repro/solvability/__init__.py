@@ -4,6 +4,7 @@ from .decision import (
     OBSTRUCTION_CHECKS,
     SolvabilityVerdict,
     Status,
+    WitnessRejected,
     decide_solvability,
 )
 from .map_search import (
@@ -32,6 +33,7 @@ __all__ = [
     "SearchStats",
     "SolvabilityVerdict",
     "Status",
+    "WitnessRejected",
     "corollary_5_5",
     "corollary_5_6",
     "decide_solvability",

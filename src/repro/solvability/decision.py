@@ -46,6 +46,14 @@ from .obstructions import (
 )
 
 
+class WitnessRejected(RuntimeError):
+    """Raised when the map search returns a map that :func:`verify_map` rejects.
+
+    A SOLVABLE verdict is only reported with a checked witness; this
+    failure is a defect in the search, never a property of the task.
+    """
+
+
 class Status(enum.Enum):
     """Outcome of the decision procedure."""
 
@@ -310,9 +318,13 @@ def _attach_witness(
                     backtracks=search_stats.backtracks,
                 )
             if f is not None:
-                assert verify_map(
+                if not verify_map(
                     sub, target_task.delta, f, chromatic=chromatic_witness
-                )
+                ):
+                    raise WitnessRejected(
+                        f"map search returned an r={r} witness for "
+                        f"{target_task.name or 'task'} that verify_map rejects"
+                    )
                 verdict.status = Status.SOLVABLE
                 verdict.witness_map = f
                 verdict.witness_subdivision = sub

@@ -27,12 +27,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..splitting.lap import LocalArticulationPoint, local_articulation_points
 from ..tasks.task import Task
-from ..topology.bitcore import bitcore_enabled
 from ..topology.complexes import SimplicialComplex
 from ..topology.homology import (
     ChainBasis,
@@ -63,11 +61,10 @@ class ObstructionWitness:
 
 
 class _SplitGraph:
-    """Plain-dict 1-skeleton used by the bitcore-enabled obstruction path.
+    """Plain-dict graph built by :func:`_lap_split_graph`.
 
-    Same node/edge structure as :func:`_lap_split_graph`, without the
-    :mod:`networkx` object overhead — the obstruction checks only need
-    reachability and a forest test, both cheap on adjacency sets.
+    The obstruction checks only need reachability and a forest test, both
+    cheap on adjacency sets.
     """
 
     __slots__ = ("adj", "edges")
@@ -125,11 +122,17 @@ class _SplitGraph:
         return False
 
 
-def _lap_split_light(
+def _lap_split_graph(
     complex_: SimplicialComplex,
     laps: Dict[Vertex, LocalArticulationPoint],
 ) -> Tuple[_SplitGraph, Dict[Vertex, List]]:
-    """:func:`_lap_split_graph` on a :class:`_SplitGraph` (bitcore path)."""
+    """The 1-skeleton of ``complex_`` with each LAP split per link component.
+
+    Nodes are either plain vertices or ``(vertex, component_index)`` copies.
+    An edge ``{y, z}`` with ``y`` a LAP attaches ``z`` to the copy of ``y``
+    whose component contains ``z``.  Paths in this graph are exactly the
+    paths of ``complex_`` that never *cross* a LAP.
+    """
     g = _SplitGraph()
     copies: Dict[Vertex, List] = {}
     for v in complex_.vertices:
@@ -141,39 +144,6 @@ def _lap_split_light(
             g.add_node(node)
 
     def node_for(y: Vertex, other: Vertex):
-        if y not in laps:
-            return y
-        return (y, laps[y].component_of(other))
-
-    for e in complex_.simplices(dim=1):
-        a, b = e.sorted_vertices()
-        g.add_edge(node_for(a, b), node_for(b, a))
-    return g, copies
-
-
-def _lap_split_graph(
-    complex_: SimplicialComplex,
-    laps: Dict[Vertex, LocalArticulationPoint],
-) -> Tuple["nx.Graph", Dict[Vertex, List]]:
-    """The 1-skeleton of ``complex_`` with each LAP split per link component.
-
-    Nodes are either plain vertices or ``(vertex, component_index)`` copies.
-    An edge ``{y, z}`` with ``y`` a LAP attaches ``z`` to the copy of ``y``
-    whose component contains ``z``.  Paths in this graph are exactly the
-    paths of ``complex_`` that never *cross* a LAP.
-    """
-    g = nx.Graph()
-    copies: Dict[Vertex, List] = {}
-    for v in complex_.vertices:
-        if v in laps:
-            copies[v] = [(v, i) for i in range(laps[v].n_components)]
-            g.add_nodes_from(copies[v])
-        else:
-            copies[v] = [v]
-            g.add_node(v)
-
-    def node_for(y: Vertex, other: Vertex):
-        """The copy of ``y`` adjacent to ``other`` (component-determined)."""
         if y not in laps:
             return y
         return (y, laps[y].component_of(other))
@@ -220,12 +190,7 @@ def corollary_5_5(task: Task) -> Optional[ObstructionWitness]:
             if edge not in task.input_complex:
                 continue
             image = task.delta(edge)
-            if bitcore_enabled():
-                light, copies = _lap_split_light(image, laps)
-                reachable = light.has_path
-            else:
-                graph, copies = _lap_split_graph(image, laps)
-                reachable = lambda a, b: nx.has_path(graph, a, b)  # noqa: E731
+            graph, copies = _lap_split_graph(image, laps)
             ys = set(task.delta(Simplex([x])).vertices)
             yps = set(task.delta(Simplex([xp])).vertices)
             connected = False
@@ -234,7 +199,7 @@ def corollary_5_5(task: Task) -> Optional[ObstructionWitness]:
                     if y not in copies or yp not in copies:
                         continue
                     if any(
-                        reachable(cy, cyp)
+                        graph.has_path(cy, cyp)
                         for cy in copies[y]
                         for cyp in copies[yp]
                     ):
@@ -270,16 +235,9 @@ def corollary_5_6(task: Task) -> Optional[ObstructionWitness]:
     skel_image = task.delta.union_image(
         Simplex(pair) for pair in itertools.combinations(sigma.sorted_vertices(), 2)
     )
-    if bitcore_enabled():
-        light, _ = _lap_split_light(skel_image, laps)
-        if len(light.edges) >= len(light.adj) or light.has_cycle():
-            return None
-    else:
-        graph, _ = _lap_split_graph(skel_image, laps)
-        if nx.number_of_edges(graph) >= nx.number_of_nodes(graph) or any(
-            True for _ in nx.cycle_basis(graph)
-        ):
-            return None
+    graph, _ = _lap_split_graph(skel_image, laps)
+    if len(graph.edges) >= len(graph.adj) or graph.has_cycle():
+        return None
     return ObstructionWitness(
         kind="corollary-5.6",
         facet=sigma,
@@ -290,23 +248,6 @@ def corollary_5_6(task: Task) -> Optional[ObstructionWitness]:
 # ---------------------------------------------------------------------------
 # Homological boundary obstruction
 # ---------------------------------------------------------------------------
-
-
-def _path_in_subcomplex(
-    sub: SimplicialComplex, start: Vertex, end: Vertex
-) -> Optional[List[Vertex]]:
-    if bitcore_enabled():
-        # the chosen path only changes the boundary loop by a cycle of the
-        # edge image, which the integer system mods out — any shortest
-        # path is as good as networkx's
-        return sub._bits().shortest_path(start, end)
-    g = sub.graph()
-    if start not in g or end not in g:
-        return None
-    try:
-        return nx.shortest_path(g, start, end)
-    except nx.NetworkXNoPath:
-        return None
 
 
 def homological_obstruction(task: Task) -> Optional[ObstructionWitness]:
@@ -354,8 +295,11 @@ def homological_obstruction(task: Task) -> Optional[ObstructionWitness]:
             paths = {}
             ok = True
             for pair in edge_pairs:
-                p = _path_in_subcomplex(
-                    edge_images[pair], choice[pair[0]], choice[pair[1]]
+                # the chosen path only changes the boundary loop by a cycle
+                # of the edge image, which the integer system mods out —
+                # any shortest path will do
+                p = edge_images[pair]._bits().shortest_path(
+                    choice[pair[0]], choice[pair[1]]
                 )
                 if p is None:
                     ok = False

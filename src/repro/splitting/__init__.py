@@ -18,6 +18,7 @@ from .lap import (
 from .pipeline import (
     SplitPipelineResult,
     SplittingDidNotConverge,
+    TransformNotLinkConnected,
     TransformResult,
     eliminate_laps,
     link_connected_form,
@@ -30,6 +31,7 @@ __all__ = [
     "SplitValue",
     "SplittingDidNotConverge",
     "SplittingError",
+    "TransformNotLinkConnected",
     "TransformResult",
     "count_laps_per_facet",
     "eliminate_laps",

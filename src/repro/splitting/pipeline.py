@@ -43,6 +43,14 @@ class SplittingDidNotConverge(RuntimeError):
     """
 
 
+class TransformNotLinkConnected(RuntimeError):
+    """Raised when :func:`link_connected_form` returns a task with a LAP.
+
+    Theorem 4.3 guarantees a link-connected result, so this is a defect in
+    the pipeline; it is checked explicitly so ``python -O`` keeps it.
+    """
+
+
 @dataclass(frozen=True)
 class SplitPipelineResult:
     """The outcome of iterated LAP elimination on a canonical task."""
@@ -179,7 +187,10 @@ def link_connected_form(task: Task, max_steps: int = 10_000) -> TransformResult:
         pipeline=pipeline,
         task=pipeline.task,
     )
-    assert is_link_connected_task(result.task) or task.input_complex.dim != 2
+    if task.input_complex.dim == 2 and not is_link_connected_task(result.task):
+        raise TransformNotLinkConnected(
+            f"link_connected_form left a local articulation point in {task.name or 'task'}"
+        )
     if cache_key is not None:
         diskstore.store("transform", cache_key, result)
     return result

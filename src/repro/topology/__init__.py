@@ -5,13 +5,7 @@ complexes, carrier maps, simplicial maps, subdivisions, links and homology.
 """
 
 from . import diskstore
-from .bitcore import (
-    BitComplex,
-    bitcore_disabled,
-    bitcore_enabled,
-    bitcore_forced,
-    set_bitcore,
-)
+from .bitcore import BitComplex
 from .cache import (
     cache_clear,
     cache_info,
@@ -95,10 +89,6 @@ from .subdivision import (
 __all__ = [
     "Barycenter",
     "BitComplex",
-    "bitcore_disabled",
-    "bitcore_enabled",
-    "bitcore_forced",
-    "set_bitcore",
     "diskstore",
     "CarrierMap",
     "CarrierMapError",

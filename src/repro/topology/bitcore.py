@@ -3,8 +3,8 @@
 The decision pipeline spends most of its time answering the same three
 kinds of questions over and over: *is this complex connected*, *what are
 the components of this vertex link*, and *does this GF(2)/integer system
-have a solution*.  The object layer answers them by materializing link
-subcomplexes and :mod:`networkx` graphs — correct, but allocation-heavy.
+have a solution*.  Answering them by materializing link subcomplexes
+and graph objects is correct, but allocation-heavy.
 
 This module packs the 1- and 2-skeleton of a complex into Python integers
 (one bit per vertex of an interned vertex universe) and answers the same
@@ -18,67 +18,19 @@ queries with bitwise arithmetic:
 
 The kernels are exposed *behind* the existing
 :class:`~repro.topology.complexes.SimplicialComplex` and
-:mod:`~repro.topology.homology` APIs: every caller keeps its signature and
-its answers, and the legacy object paths are retained and dispatched to
-when the layer is disabled (``REPRO_BITCORE=off`` or
-:func:`bitcore_disabled`), which is how the parity suite asserts
-bit-for-bit agreement between the two implementations.
+:mod:`~repro.topology.homology` APIs, which call them unconditionally.
+``tests/topology/test_bitcore.py`` checks them against a small
+brute-force reference (union-find, numpy elimination, BFS) on a seeded
+random population.
 
 Determinism: vertex bit indices follow the complex's canonical vertex
-order, so component masks decoded lowest-bit-first reproduce exactly the
-legacy ``min(vertex_sort_key)`` component ordering.
+order, so component masks decoded lowest-bit-first come out ordered by
+their minimal ``vertex_sort_key``.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Dict, FrozenSet, Hashable, Iterator, List, Optional, Tuple
-
-#: values of ``REPRO_BITCORE`` that disable the packed kernels
-_OFF_VALUES = frozenset({"0", "off", "false", "no", "disabled"})
-
-_enabled: bool = os.environ.get("REPRO_BITCORE", "on").strip().lower() not in _OFF_VALUES
-
-
-def bitcore_enabled() -> bool:
-    """Whether the bit-packed kernels are currently dispatched to."""
-    return _enabled
-
-
-def set_bitcore(enabled: bool) -> bool:
-    """Enable/disable the bit-packed kernels; returns the previous state.
-
-    Disabling falls every query back to the legacy object implementations
-    (networkx graphs, numpy elimination).  The two engines are
-    answer-equivalent — ``tests/topology/test_bitcore.py`` asserts it
-    property-by-property — so this is an ablation/verification knob, not a
-    behavior switch.
-    """
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def bitcore_disabled() -> Iterator[None]:
-    """Context manager: run a block on the legacy object kernels."""
-    previous = set_bitcore(False)
-    try:
-        yield
-    finally:
-        set_bitcore(previous)
-
-
-@contextmanager
-def bitcore_forced() -> Iterator[None]:
-    """Context manager: run a block with the packed kernels on."""
-    previous = set_bitcore(True)
-    try:
-        yield
-    finally:
-        set_bitcore(previous)
+from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 
 class BitComplex:
@@ -157,7 +109,7 @@ class BitComplex:
         """Connected components of the 1-skeleton as bit masks.
 
         Ordered by lowest member bit, which (bits following canonical
-        vertex order) equals the legacy order by minimal vertex sort key.
+        vertex order) is the order by minimal vertex sort key.
         """
         remaining = self.full
         out: List[int] = []
@@ -279,15 +231,19 @@ class BitComplex:
 
     # -- decoding ----------------------------------------------------------
 
-    def _decode_mask(self, mask: int) -> FrozenSet[Hashable]:
-        """Decode a bit mask back to a frozenset of vertex objects."""
+    def members(self, mask: int) -> Tuple[Hashable, ...]:
+        """The vertices of a bit mask, lowest bit (canonical order) first."""
         verts = self.verts
         out = []
         while mask:
             low = mask & -mask
             mask ^= low
             out.append(verts[low.bit_length() - 1])
-        return frozenset(out)
+        return tuple(out)
+
+    def _decode_mask(self, mask: int) -> FrozenSet[Hashable]:
+        """Decode a bit mask back to a frozenset of vertex objects."""
+        return frozenset(self.members(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +329,7 @@ def gf2_solve(rows: List[int], rhs: List[int], ncols: int) -> Optional[int]:
 
 __all__ = [
     "BitComplex",
-    "bitcore_disabled",
-    "bitcore_enabled",
-    "bitcore_forced",
     "gf2_rank",
     "gf2_solve",
     "pack_rows",
-    "set_bitcore",
 ]

@@ -6,8 +6,8 @@ simplices); after that the complex is immutable.  All iteration orders are
 deterministic (see :func:`repro.topology.simplex.vertex_sort_key`).
 
 Because instances are immutable, every structural query is memoized through
-:mod:`repro.topology.cache`: repeated links, stars, skeleta, 1-skeleton
-graphs and connectivity computations on the same complex are answered from
+:mod:`repro.topology.cache`: repeated links, stars, skeleta and
+connectivity computations on the same complex are answered from
 a per-instance cache.  ``repro.topology.cache.cache_info()`` reports hit
 rates, ``cache_clear()`` invalidates everything, and the
 ``caching_disabled()`` context manager bypasses the layer (benchmarks use
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import itertools
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Tuple
-
-import networkx as nx
 
 from . import bitcore as _bitcore
 from .cache import memoized_method
@@ -322,53 +320,28 @@ class SimplicialComplex:
     # -- connectivity -------------------------------------------------------------
 
     @memoized_method
-    def _graph(self) -> "nx.Graph":
-        g = nx.Graph()
-        g.add_nodes_from(self._vertices)
-        for e in self.simplices(1):
-            a, b = e.sorted_vertices()
-            g.add_edge(a, b)
-        return g
-
-    def graph(self) -> "nx.Graph":
-        """The 1-skeleton as a :mod:`networkx` graph (isolated vertices included).
-
-        The returned graph is a fresh copy, safe for callers to mutate; the
-        internal cached graph backs :meth:`is_connected` and
-        :meth:`connected_components`.
-        """
-        return self._graph().copy()
-
-    @memoized_method
     def _bits(self) -> "_bitcore.BitComplex":
         """Bit-packed view of the 1- and 2-skeleton (:mod:`.bitcore`)."""
         return _bitcore.BitComplex.from_complex(self)
 
+    def adjacency(self) -> Dict[Hashable, Tuple[Hashable, ...]]:
+        """The 1-skeleton as ``{vertex: neighbours}``, both in canonical order.
+
+        Isolated vertices map to ``()``.  The dict is fresh on every call,
+        so callers may mutate it.
+        """
+        bits = self._bits()
+        return {v: bits.members(bits.adj[i]) for i, v in enumerate(bits.verts)}
+
     @memoized_method
     def is_connected(self) -> bool:
         """Graph connectivity of the 1-skeleton (empty complex counts as connected)."""
-        if _bitcore.bitcore_enabled():
-            return self._bits().is_connected()
-        return self._legacy_is_connected()
-
-    def _legacy_is_connected(self) -> bool:
-        # object/networkx kernel, retained for the bitcore parity suite
-        if not self._vertices:
-            return True
-        return nx.is_connected(self._graph())
+        return self._bits().is_connected()
 
     @memoized_method
     def connected_components(self) -> Tuple[FrozenSet[Hashable], ...]:
         """Vertex sets of the connected components, in deterministic order."""
-        if _bitcore.bitcore_enabled():
-            return self._bits().connected_components()
-        return self._legacy_connected_components()
-
-    def _legacy_connected_components(self) -> Tuple[FrozenSet[Hashable], ...]:
-        # object/networkx kernel, retained for the bitcore parity suite
-        comps = [frozenset(c) for c in nx.connected_components(self._graph())]
-        comps.sort(key=lambda c: min(vertex_sort_key(v) for v in c))
-        return tuple(comps)
+        return self._bits().connected_components()
 
     def component_of(self, v: Hashable) -> FrozenSet[Hashable]:
         """The vertex set of the component containing ``v``."""
@@ -383,20 +356,8 @@ class SimplicialComplex:
 
         This is the property the splitting pipeline of Section 4 establishes.
         """
-        if _bitcore.bitcore_enabled():
-            return self._bits().is_link_connected()
-        return self._legacy_is_link_connected()
-
-    def _legacy_is_link_connected(self) -> bool:
-        # object/networkx kernel, retained for the bitcore parity suite
-        return all(self.link(v)._legacy_is_connected() for v in self._vertices)
+        return self._bits().is_link_connected()
 
     def link_components(self, v: Hashable) -> Tuple[FrozenSet[Hashable], ...]:
         """Connected components (vertex sets) of ``link(v)``."""
-        if _bitcore.bitcore_enabled():
-            return self._bits().link_components(v)
-        return self._legacy_link_components(v)
-
-    def _legacy_link_components(self, v: Hashable) -> Tuple[FrozenSet[Hashable], ...]:
-        # object/networkx kernel, retained for the bitcore parity suite
-        return self.link(v)._legacy_connected_components()
+        return self._bits().link_components(v)

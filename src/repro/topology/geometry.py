@@ -65,9 +65,10 @@ def barycenter(s: Simplex) -> RealizationPoint:
 class Realization:
     """A concrete embedding of a complex's vertices in Euclidean space.
 
-    Coordinates may be supplied explicitly; otherwise a deterministic
-    spring layout (seeded) in the plane is computed — adequate for
-    visualisation and for numerically sampling PL maps.
+    Coordinates may be supplied explicitly; otherwise the vertices are
+    spaced evenly around the unit circle in canonical order, with any
+    further coordinates zero — adequate for visualisation and for
+    numerically sampling PL maps.
     """
 
     def __init__(
@@ -85,10 +86,12 @@ class Realization:
             if missing:
                 raise ValueError(f"positions missing for vertices: {missing!r}")
         else:
-            import networkx as nx
-
-            layout = nx.spring_layout(complex_.graph(), seed=7, dim=dim)
-            self.positions = {v: np.asarray(p, dtype=float) for v, p in layout.items()}
+            verts = complex_.vertices
+            angles = 2 * np.pi * np.arange(len(verts)) / max(len(verts), 1)
+            layout = np.zeros((len(verts), max(dim, 2)))
+            layout[:, 0] = np.cos(angles)
+            layout[:, 1] = np.sin(angles)
+            self.positions = {v: layout[i, :dim] for i, v in enumerate(verts)}
 
     def locate(self, point: RealizationPoint) -> np.ndarray:
         """Euclidean coordinates of a realization point."""

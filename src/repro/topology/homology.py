@@ -16,8 +16,9 @@ domain are tiny (hundreds of simplices), so no sparse machinery is needed.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,88 +75,30 @@ def boundary_matrix(basis: ChainBasis, k: int) -> np.ndarray:
 
 
 def rank_mod2(a: np.ndarray) -> int:
-    """Rank of a matrix over GF(2) by Gaussian elimination.
+    """Rank of a matrix over GF(2).
 
-    Dispatches to the bit-packed elimination of :mod:`.bitcore` (one
-    integer per row, XOR row updates) when enabled; the numpy kernel below
-    is retained as the legacy/parity path.
+    Packs each row into one integer and eliminates with XOR row updates
+    (:func:`repro.topology.bitcore.gf2_rank`).
     """
-    if _bitcore.bitcore_enabled():
-        return _bitcore.gf2_rank(_bitcore.pack_rows(a))
-    return _legacy_rank_mod2(a)
-
-
-def _legacy_rank_mod2(a: np.ndarray) -> int:
-    m = (np.array(a, dtype=np.int64) % 2).astype(np.uint8)
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and m[r, col]:
-                m[r] ^= m[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return _bitcore.gf2_rank(_bitcore.pack_rows(a))
 
 
 def solve_mod2(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     """Solve ``A x = b`` over GF(2); return a solution or ``None``.
 
-    Dispatches to :func:`repro.topology.bitcore.gf2_solve` when the
-    packed kernels are enabled; the numpy path is the legacy/parity one.
+    Runs on integer-packed rows via :func:`repro.topology.bitcore.gf2_solve`.
     """
-    if _bitcore.bitcore_enabled():
-        a_arr = np.asarray(a)
-        ncols = a_arr.shape[1] if a_arr.ndim == 2 else 0
-        rows = _bitcore.pack_rows(a_arr)
-        rhs = [int(v) & 1 for v in np.asarray(b).reshape(-1)]
-        packed = _bitcore.gf2_solve(rows, rhs, ncols)
-        if packed is None:
-            return None
-        x = np.zeros(ncols, dtype=np.uint8)
-        for c in range(ncols):
-            if packed >> c & 1:
-                x[c] = 1
-        return x
-    return _legacy_solve_mod2(a, b)
-
-
-def _legacy_solve_mod2(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    a2 = (np.array(a, dtype=np.int64) % 2).astype(np.uint8)
-    b2 = (np.array(b, dtype=np.int64) % 2).astype(np.uint8).reshape(-1)
-    rows, cols = a2.shape
-    aug = np.concatenate([a2, b2.reshape(-1, 1)], axis=1)
-    pivots: List[Tuple[int, int]] = []
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if aug[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[[rank, pivot]] = aug[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and aug[r, col]:
-                aug[r] ^= aug[rank]
-        pivots.append((rank, col))
-        rank += 1
-    for r in range(rank, rows):
-        if aug[r, cols]:
-            return None
-    x = np.zeros(cols, dtype=np.uint8)
-    for r, c in pivots:
-        x[c] = aug[r, cols]
+    a_arr = np.asarray(a)
+    ncols = a_arr.shape[1] if a_arr.ndim == 2 else 0
+    rows = _bitcore.pack_rows(a_arr)
+    rhs = [int(v) & 1 for v in np.asarray(b).reshape(-1)]
+    packed = _bitcore.gf2_solve(rows, rhs, ncols)
+    if packed is None:
+        return None
+    x = np.zeros(ncols, dtype=np.uint8)
+    for c in range(ncols):
+        if packed >> c & 1:
+            x[c] = 1
     return x
 
 
@@ -318,36 +261,20 @@ def is_null_homologous(
     raise ValueError(f"unknown coefficient ring {over!r}")
 
 
-def cycle_space_generators(k: SimplicialComplex) -> List[np.ndarray]:
-    """Fundamental 1-cycles of the 1-skeleton (one per non-tree edge).
+def bfs_forest(
+    k: SimplicialComplex, roots: Iterable[Hashable]
+) -> Tuple[Dict[Hashable, Optional[Hashable]], Dict[Hashable, int]]:
+    """Parent pointers and depths of a breadth-first forest of the 1-skeleton.
 
-    Returned as integer vectors in the edge basis of ``k``.  Together with
-    the boundaries of 2-simplices they span all 1-cycles.  Any spanning
-    forest yields a basis of the same integral cycle lattice, so the fast
-    path (a plain BFS forest with parent pointers) and the legacy path
-    (networkx spanning tree + shortest paths) are interchangeable for
-    every caller — the obstruction test only quotients by their span.
+    A tree grows from each root not yet reached, in the order given.  The
+    queue is FIFO and neighbours come in canonical order, so every vertex
+    hangs off the first dequeued vertex adjacent to it; roots have parent
+    ``None``.
     """
-    if _bitcore.bitcore_enabled():
-        return _bfs_cycle_space_generators(k)
-    return _legacy_cycle_space_generators(k)
-
-
-def _bfs_cycle_space_generators(k: SimplicialComplex) -> List[np.ndarray]:
-    from collections import deque
-
-    basis = ChainBasis.of(k)
-    edges = basis.by_dim[1] if len(basis.by_dim) > 1 else ()
-    if not edges:
-        return []
-    adj: Dict[Hashable, List[Hashable]] = {v: [] for v in k.vertices}
-    for e in edges:
-        a, b = e.sorted_vertices()
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = k.adjacency()
     parent: Dict[Hashable, Optional[Hashable]] = {}
     depth: Dict[Hashable, int] = {}
-    for root in k.vertices:
+    for root in roots:
         if root in parent:
             continue
         parent[root] = None
@@ -360,6 +287,23 @@ def _bfs_cycle_space_generators(k: SimplicialComplex) -> List[np.ndarray]:
                     parent[w] = u
                     depth[w] = depth[u] + 1
                     queue.append(w)
+    return parent, depth
+
+
+def cycle_space_generators(k: SimplicialComplex) -> List[np.ndarray]:
+    """Fundamental 1-cycles of the 1-skeleton (one per non-tree edge).
+
+    Returned as integer vectors in the edge basis of ``k``.  Together with
+    the boundaries of 2-simplices they span all 1-cycles.  The forest is
+    :func:`bfs_forest`; any spanning forest yields a basis of the same
+    integral cycle lattice, and the obstruction test only quotients by
+    their span.
+    """
+    basis = ChainBasis.of(k)
+    edges = basis.by_dim[1] if len(basis.by_dim) > 1 else ()
+    if not edges:
+        return []
+    parent, depth = bfs_forest(k, k.vertices)
     forest = {frozenset((w, p)) for w, p in parent.items() if p is not None}
     cycles = []
     for e in edges:
@@ -384,24 +328,4 @@ def _bfs_cycle_space_generators(k: SimplicialComplex) -> List[np.ndarray]:
         # closed path a → b → … → lca → … → a
         path = ups_b + list(reversed(ups_a[:-1]))
         cycles.append(edge_chain(basis, [a] + path))
-    return cycles
-
-
-def _legacy_cycle_space_generators(k: SimplicialComplex) -> List[np.ndarray]:
-    import networkx as nx
-
-    basis = ChainBasis.of(k)
-    if basis.dim_count(1) == 0:
-        return []
-    g = k.graph()
-    cycles = []
-    for comp in nx.connected_components(g):
-        sub = g.subgraph(comp)
-        tree = nx.minimum_spanning_tree(sub)
-        tree_edges = {frozenset(e) for e in tree.edges()}
-        for a, b in sub.edges():
-            if frozenset((a, b)) in tree_edges:
-                continue
-            path = nx.shortest_path(tree, b, a)
-            cycles.append(edge_chain(basis, [a] + list(path)))
     return cycles

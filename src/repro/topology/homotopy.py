@@ -24,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from .complexes import SimplicialComplex
-from .homology import ChainBasis, edge_chain, is_null_homologous
+from .homology import ChainBasis, bfs_forest, edge_chain, is_null_homologous
 from .simplex import Simplex, vertex_sort_key
 
 Word = Tuple[int, ...]  # non-zero ints; +g / -g are a generator and inverse
@@ -99,9 +97,8 @@ def pi1_presentation(
     if base is None:
         base = vertices[0]
 
-    g = k.graph()
-    tree = nx.bfs_tree(g, base)
-    tree_pairs = {frozenset(e) for e in tree.edges()}
+    parent, _ = bfs_forest(k, [base])
+    tree_pairs = {frozenset((w, p)) for w, p in parent.items() if p is not None}
 
     generators: List[Simplex] = []
     edge_index: Dict[Tuple[Hashable, Hashable], int] = {}

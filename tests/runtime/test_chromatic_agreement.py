@@ -93,7 +93,36 @@ class TestHelpers:
         p1 = _canonical_path(link, "a", "c", numbering)
         p2 = _canonical_path(link, "c", "a", numbering)
         assert p1 == list(reversed(p2))
-        assert len(p1) == 3
+        # {a, b, c} = {0, 1, 2} beats {a, d, c} = {0, 2, 3}
+        assert p1 == ["a", "b", "c"]
+        assert p2 == ["c", "b", "a"]
+
+    def test_canonical_path_same_endpoint(self):
+        from repro.topology.complexes import SimplicialComplex
+
+        link = SimplicialComplex([("a", "b"), ("b", "c")])
+        numbering = {v: i for i, v in enumerate(link.vertices)}
+        assert _canonical_path(link, "b", "b", numbering) == ["b"]
+
+    def test_canonical_path_compares_sorted_vertex_numbers(self):
+        from repro.topology.complexes import SimplicialComplex
+
+        # two shortest a-e paths: a-x-y-e numbers {0, 1, 2, 4}, a-u-w-e
+        # numbers {0, 1, 3, 5}; read in path order the second would win
+        link = SimplicialComplex(
+            [("a", "x"), ("x", "y"), ("y", "e"), ("a", "u"), ("u", "w"), ("w", "e")]
+        )
+        numbering = {"a": 0, "e": 1, "y": 2, "u": 3, "x": 4, "w": 5}
+        assert _canonical_path(link, "a", "e", numbering) == ["a", "x", "y", "e"]
+        assert _canonical_path(link, "e", "a", numbering) == ["e", "y", "x", "a"]
+
+    def test_canonical_path_without_path_names_both_endpoints(self):
+        from repro.topology.complexes import SimplicialComplex
+
+        link = SimplicialComplex([("a", "b"), ("c", "d")])
+        numbering = {v: i for i, v in enumerate(link.vertices)}
+        with pytest.raises(ValueError, match="'a'.*'d'"):
+            _canonical_path(link, "a", "d", numbering)
 
 
 class TestAdversarialAgnostic:

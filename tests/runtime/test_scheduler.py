@@ -5,12 +5,13 @@ import pytest
 from repro.runtime.scheduler import (
     Execution,
     SchedulerError,
-    _explore_schedules_replay,
     explore_schedules,
     run_random,
     run_solo_blocks,
     run_with_schedule,
 )
+
+from .replay_explorer import explore_schedules_replay
 
 
 def writer_reader_factory(pid: int):
@@ -287,14 +288,14 @@ class TestExploreSchedules:
         replay-from-scratch DFS, in the same lexicographic order."""
         factories = {0: writer_reader_factory, 1: writer_reader_factory}
         fast = list(explore_schedules(2, factories))
-        slow = list(_explore_schedules_replay(2, factories))
+        slow = list(explore_schedules_replay(2, factories))
         assert [t.schedule for t in fast] == [t.schedule for t in slow]
         assert [t.decisions for t in fast] == [t.decisions for t in slow]
 
     def test_prefix_tree_matches_replay_under_cap(self):
         factories = {0: writer_reader_factory, 1: writer_reader_factory}
         fast = list(explore_schedules(2, factories, max_executions=7))
-        slow = list(_explore_schedules_replay(2, factories, max_executions=7))
+        slow = list(explore_schedules_replay(2, factories, max_executions=7))
         assert [t.schedule for t in fast] == [t.schedule for t in slow]
 
     def test_three_process_enumeration_counts_match(self):
@@ -307,7 +308,7 @@ class TestExploreSchedules:
 
         factories = {pid: tiny for pid in range(3)}
         fast = list(explore_schedules(3, factories))
-        slow = list(_explore_schedules_replay(3, factories))
+        slow = list(explore_schedules_replay(3, factories))
         # interleavings of three 2-step processes: 6!/(2!2!2!) = 90
         assert len(fast) == len(slow) == 90
         assert {tuple(t.schedule) for t in fast} == {

@@ -5,6 +5,7 @@ import pytest
 from repro.solvability.decision import (
     SolvabilityVerdict,
     Status,
+    WitnessRejected,
     decide_solvability,
 )
 from repro.tasks.zoo import (
@@ -121,6 +122,16 @@ class TestEngines:
         assert v.solvable is True
         assert v.witness_chromatic
         assert v.witness_map.is_chromatic()
+
+
+class TestWitnessCheck:
+    def test_rejected_witness_raises_named_error(self, identity3, monkeypatch):
+        # an explicit raise, not an assert, so the check survives python -O
+        import repro.solvability.decision as decision
+
+        monkeypatch.setattr(decision, "verify_map", lambda *args, **kwargs: False)
+        with pytest.raises(WitnessRejected, match="verify_map rejects"):
+            decide_solvability(identity3, max_rounds=0)
 
 
 class TestConsistency:

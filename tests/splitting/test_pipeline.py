@@ -6,6 +6,7 @@ from repro.splitting.deformation import unsplit_vertex
 from repro.splitting.lap import is_link_connected_task, local_articulation_points
 from repro.splitting.pipeline import (
     SplittingDidNotConverge,
+    TransformNotLinkConnected,
     eliminate_laps,
     link_connected_form,
 )
@@ -110,6 +111,14 @@ class TestLinkConnectedForm:
     def test_final_task_valid(self, pinwheel, hourglass, majority):
         for t in (pinwheel, hourglass, majority):
             link_connected_form(t).task.validate()
+
+    def test_lap_left_behind_raises_named_error(self, hourglass, monkeypatch):
+        # an explicit raise, not an assert, so the check survives python -O
+        import repro.splitting.pipeline as pipeline
+
+        monkeypatch.setattr(pipeline, "is_link_connected_task", lambda task: False)
+        with pytest.raises(TransformNotLinkConnected, match="local articulation point"):
+            link_connected_form(hourglass)
 
 
 class TestOrderIndependence:

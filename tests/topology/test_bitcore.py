@@ -1,49 +1,38 @@
 """Parity suite for the bit-packed topology kernels.
 
-:mod:`repro.topology.bitcore` re-answers the pipeline's hot queries —
+:mod:`repro.topology.bitcore` answers the pipeline's hot queries —
 connectivity, components, link components, GF(2) linear algebra, cycle
-bases, shortest paths — with packed-integer arithmetic.  The legacy
-object/networkx/numpy kernels are retained precisely so this suite can
-assert answer-for-answer agreement on a seeded random population, plus
-end-to-end verdict parity of the full decision procedure with the layer
-forced on and off.
+bases, shortest paths — with packed-integer arithmetic, and is the only
+engine behind :class:`SimplicialComplex` and :mod:`repro.topology.homology`.
+This suite checks it answer for answer against the brute-force oracle in
+:mod:`tests.topology.reference` on a seeded random population.
 """
 
 from __future__ import annotations
 
 import random
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from repro import decide_solvability
-from repro.topology import cache_clear
-from repro.topology.bitcore import (
-    BitComplex,
-    bitcore_disabled,
-    bitcore_enabled,
-    bitcore_forced,
-    gf2_rank,
-    gf2_solve,
-    pack_rows,
-    set_bitcore,
-)
-from repro.topology.complexes import SimplicialComplex
-from repro.topology.homology import (
-    ChainBasis,
-    _bfs_cycle_space_generators,
-    _legacy_cycle_space_generators,
-    _legacy_rank_mod2,
-    _legacy_solve_mod2,
-    boundary_matrix,
-    rank_mod2,
-    solve_mod2,
-)
+from repro.solvability import Status
 from repro.tasks.zoo.random_tasks import (
     random_single_input_task,
     random_sparse_task,
 )
+from repro.topology import cache_clear
+from repro.topology.bitcore import BitComplex, gf2_rank, gf2_solve, pack_rows
+from repro.topology.complexes import SimplicialComplex
+from repro.topology.homology import (
+    ChainBasis,
+    boundary_matrix,
+    cycle_space_generators,
+    rank_mod2,
+    solve_mod2,
+)
+
+from . import reference
 
 SEEDS = range(30)  # >= 25 seeds per property, per the perf-layer contract
 
@@ -59,40 +48,41 @@ def random_complex(seed: int, n_vertices: int = 8, n_facets: int = 7) -> Simplic
     return SimplicialComplex(facets)
 
 
-# -- structural queries: bit kernels vs legacy object kernels -----------------
+# -- structural queries: bit kernels vs the oracle ----------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_connectivity_parity(seed):
     k = random_complex(seed)
     bits = k._bits()
-    assert bits.is_connected() == k._legacy_is_connected()
-    assert bits.connected_components() == k._legacy_connected_components()
+    assert bits.is_connected() == reference.is_connected(k)
+    assert bits.connected_components() == reference.components(k)
+    assert k.connected_components() == reference.components(k)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_link_parity(seed):
     k = random_complex(seed)
     bits = k._bits()
-    assert bits.is_link_connected() == k._legacy_is_link_connected()
+    assert bits.is_link_connected() == all(
+        len(reference.link_components(k, v)) <= 1 for v in k.vertices
+    )
     for v in k.vertices:
-        assert bits.link_components(v) == k._legacy_link_components(v)
+        assert bits.link_components(v) == reference.link_components(k, v)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_shortest_path_parity(seed):
     k = random_complex(seed)
     bits = k._bits()
-    g = k.graph()
     edges = {frozenset(e.vertices) for e in k.simplices(1)}
     rng = random.Random(seed ^ 0xBEEF)
     verts = list(k.vertices)
     for _ in range(10):
         a, b = rng.choice(verts), rng.choice(verts)
         path = bits.shortest_path(a, b)
-        try:
-            want = nx.shortest_path_length(g, a, b)
-        except nx.NetworkXNoPath:
+        want = reference.bfs_distances(k, a).get(b)
+        if want is None:
             assert path is None
             continue
         # a genuine edge path of minimal length with the right endpoints
@@ -125,7 +115,8 @@ def test_empty_complex_is_connected():
 def test_gf2_rank_parity(seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 2, size=(rng.integers(1, 9), rng.integers(1, 9)))
-    assert gf2_rank(pack_rows(a)) == _legacy_rank_mod2(a)
+    assert gf2_rank(pack_rows(a)) == reference.rank_mod2(a)
+    assert rank_mod2(a) == reference.rank_mod2(a)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -135,36 +126,16 @@ def test_gf2_solve_parity(seed):
     a = rng.integers(0, 2, size=(rows, cols))
     b = rng.integers(0, 2, size=rows)
     packed = gf2_solve(pack_rows(a), [int(v) for v in b], cols)
-    legacy = _legacy_solve_mod2(a, b)
-    # solvability must agree; the witnesses may differ, so each engine's
-    # witness is checked against the system instead of against the other's
-    assert (packed is None) == (legacy is None)
+    unpacked = solve_mod2(a, b)
+    oracle = reference.solve_mod2(a, b)
+    # solvability must agree; the witnesses may differ, so each one is
+    # checked against the system instead of against the oracle's
+    assert (packed is None) == (unpacked is None) == (oracle is None)
     if packed is not None:
         x = np.array([(packed >> c) & 1 for c in range(cols)])
         assert np.array_equal((a @ x) % 2, b % 2)
-        assert np.array_equal((a @ legacy) % 2, b % 2)
-
-
-def test_dispatch_wrappers_follow_the_switch():
-    a = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    b = np.array([0, 0, 0])
-    with bitcore_forced():
-        assert bitcore_enabled()
-        rank_on = rank_mod2(a)
-        sol_on = solve_mod2(a, b)
-    with bitcore_disabled():
-        assert not bitcore_enabled()
-        assert rank_mod2(a) == rank_on
-        assert (solve_mod2(a, b) is None) == (sol_on is None)
-
-
-def test_set_bitcore_returns_previous_state():
-    previous = set_bitcore(False)
-    try:
-        assert not bitcore_enabled()
-    finally:
-        set_bitcore(previous)
-    assert bitcore_enabled() == previous
+        assert np.array_equal((a @ unpacked) % 2, b % 2)
+        assert np.array_equal((a @ oracle) % 2, b % 2)
 
 
 # -- cycle space generators ----------------------------------------------------
@@ -173,23 +144,19 @@ def test_set_bitcore_returns_previous_state():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cycle_generators_span_parity(seed):
     k = random_complex(seed)
-    fast = _bfs_cycle_space_generators(k)
-    legacy = _legacy_cycle_space_generators(k)
-    # one fundamental cycle per non-forest edge: E - V + C, either engine
-    assert len(fast) == len(legacy)
-    if not fast:
+    gens = cycle_space_generators(k)
+    # one fundamental cycle per non-forest edge: E - V + C, the dimension
+    # of the cycle space
+    n_edges = len(k.simplices(dim=1))
+    assert len(gens) == n_edges - len(k.vertices) + len(reference.components(k))
+    if not gens:
         return
-    # identical GF(2) span: stacking one basis onto the other adds no rank
-    fast_m = np.array(fast)
-    legacy_m = np.array(legacy)
-    rank_fast = _legacy_rank_mod2(fast_m)
-    assert rank_fast == _legacy_rank_mod2(legacy_m)
-    stacked = np.concatenate([fast_m, legacy_m], axis=0)
-    assert _legacy_rank_mod2(stacked) == rank_fast
+    # independent over GF(2), so they span the whole cycle space
+    assert reference.rank_mod2(np.array(gens)) == len(gens)
     # and every generator is an actual cycle: d1 . z = 0
     basis = ChainBasis.of(k)
     d1 = boundary_matrix(basis, 1)
-    for z in fast:
+    for z in gens:
         assert not np.any(d1 @ z)
 
 
@@ -208,12 +175,7 @@ def _verdict_fingerprint(task, max_rounds=1):
 @pytest.mark.parametrize("generator", [random_single_input_task, random_sparse_task])
 @pytest.mark.parametrize("seed", range(13))
 def test_decision_verdict_parity(generator, seed):
-    # the packed kernels must be invisible to the mathematics: same status,
-    # same witness depth, same obstruction species, with the layer on or off
+    # the verdict every one of these tasks got while a second, object-based
+    # engine still cross-checked the packed kernels
     cache_clear()
-    with bitcore_forced():
-        fast = _verdict_fingerprint(generator(seed))
-    cache_clear()
-    with bitcore_disabled():
-        legacy = _verdict_fingerprint(generator(seed))
-    assert fast == legacy
+    assert _verdict_fingerprint(generator(seed)) == (Status.SOLVABLE, 0, None)

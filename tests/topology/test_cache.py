@@ -92,7 +92,7 @@ def _query_snapshot(k: SimplicialComplex):
         "skeleton1_facets": k.skeleton(1).facets,
         "stars": {v: k.star(v).facets for v in k.vertices},
         "links": {v: k.link(v).facets for v in k.vertices},
-        "graph_edges": sorted(map(sorted, map(list, k.graph().edges()))),
+        "adjacency": k.adjacency(),
         "is_connected": k.is_connected(),
         "components": k.connected_components(),
         "is_link_connected": k.is_link_connected(),

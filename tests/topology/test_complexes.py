@@ -169,9 +169,13 @@ class TestConnectivity:
         assert comps[0] == frozenset({"a", "b"})
 
     def test_graph_has_all_vertices(self, disk):
-        g = disk.graph()
-        assert set(g.nodes) == set(disk.vertices)
-        assert g.number_of_edges() == 3
+        adj = disk.adjacency()
+        assert tuple(adj) == disk.vertices
+        assert sum(len(nbrs) for nbrs in adj.values()) == 2 * 3
+
+    def test_adjacency_in_canonical_order(self):
+        k = SimplicialComplex([("c", "a"), ("b", "a"), ("d",)])
+        assert k.adjacency() == {"a": ("b", "c"), "b": ("a",), "c": ("a",), "d": ()}
 
 
 class TestLinkConnectivity:

@@ -50,6 +50,43 @@ class TestPresentation:
         pres = pi1_presentation(k)
         assert pres.rank == 2  # free group F2
 
+    # Literal generator lists pin the spanning tree: a FIFO breadth-first
+    # search from the base with neighbours in canonical vertex order.
+
+    def test_disk_generators(self, disk):
+        pres = pi1_presentation(disk)
+        assert [g.sorted_vertices() for g in pres.generators] == [("b", "c")]
+        assert [t.sorted_vertices() for t in pres.tree_edges] == [("a", "b"), ("a", "c")]
+        assert pres.relators == ((1,),)
+
+    def test_circle_generators(self, circle):
+        pres = pi1_presentation(circle)
+        assert [g.sorted_vertices() for g in pres.generators] == [("b", "c")]
+        assert [t.sorted_vertices() for t in pres.tree_edges] == [("a", "b"), ("a", "c")]
+
+    def test_wedge_generators(self):
+        k = SimplicialComplex(
+            [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("d", "e"), ("e", "a")]
+        )
+        pres = pi1_presentation(k)
+        assert [g.sorted_vertices() for g in pres.generators] == [("b", "c"), ("d", "e")]
+        pres = pi1_presentation(k, base="c")
+        assert [g.sorted_vertices() for g in pres.generators] == [("a", "b"), ("d", "e")]
+
+    def test_annulus_generators(self):
+        from repro.tasks.zoo import annulus_loop
+
+        pres = pi1_presentation(annulus_loop().complex)
+        assert [g.sorted_vertices() for g in pres.generators] == [
+            ("i1", "o0"), ("i2", "o1"), ("i3", "i4"), ("i3", "o2"), ("i3", "o3"),
+            ("i4", "o4"), ("i5", "o5"), ("o0", "o1"), ("o0", "o5"), ("o1", "o2"),
+            ("o2", "o3"), ("o3", "o4"), ("o4", "o5"),
+        ]
+        assert pres.relators == (
+            (1,), (7,), (9,), (2,), (1, 8), (4,), (2, 10),
+            (3, -5), (4, 11, -5), (-6,), (12, -6), (13, -7),
+        )
+
     def test_disconnected_rejected(self):
         k = SimplicialComplex([("a", "b"), ("c", "d")])
         with pytest.raises(ValueError):
