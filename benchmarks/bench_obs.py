@@ -142,11 +142,11 @@ def test_live_metrics_hot_path(report, smoke):
     """Per-request cost of /metrics being on: a locked dict increment.
 
     Two shapes: a bare histogram record (the soak load workers' path)
-    and the server's full labelled-registry lookup + record.  Both must
+    and the server's labelled lookup on its recorder + record.  Both must
     stay in the sub-microsecond regime that makes instrumenting every
     HTTP request a non-decision.
     """
-    from repro.obs import LatencyHistogram, MetricsRegistry
+    from repro.obs import LatencyHistogram, Recorder
 
     n = 10_000 if smoke else 200_000
     hist = LatencyHistogram()
@@ -154,7 +154,7 @@ def test_live_metrics_hot_path(report, smoke):
         "metrics:histogram_record", _spin_histogram, hist, n, repeat=3,
         meta={"n": n},
     )
-    registry = MetricsRegistry()
+    registry = Recorder()
     _, m_reg = _HARNESS.measure(
         "metrics:registry_record", _spin_registry, registry, n, repeat=3,
         meta={"n": n},

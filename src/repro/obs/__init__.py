@@ -37,7 +37,6 @@ from .metrics import (
 )
 from .metrics import (
     LatencyHistogram,
-    MetricsRegistry,
     RateMeter,
     build_metrics,
     parse_prometheus_text,
@@ -106,7 +105,6 @@ __all__ = [
     "GAUGE_POLICIES",
     "LatencyHistogram",
     "METRICS_SCHEMA",
-    "MetricsRegistry",
     "RUN_SCHEMA",
     "RateMeter",
     "Recorder",

@@ -6,7 +6,7 @@ baseline.  A long-running service needs the complementary *live* view:
 latency **distributions** (a mean hides the bimodal cache-hit/miss
 split entirely), short-window request **rates**, and a snapshot you can
 scrape at any moment without stopping the world.  This module provides
-the three primitives the verdict server's ``/metrics`` endpoint serves:
+the primitives the verdict server's ``/metrics`` endpoint serves:
 
 * :class:`LatencyHistogram` — log-bucketed (geometric bounds, base 2)
   observation counts.  Buckets make histograms **mergeable** across
@@ -18,9 +18,9 @@ the three primitives the verdict server's ``/metrics`` endpoint serves:
 * :class:`RateMeter` — a sliding window of per-second event buckets
   ("requests/s over the last 60 s"), the live complement of a monotonic
   counter.
-* :class:`MetricsRegistry` — named, labelled instruments plus
-  export-time gauge callbacks (uptime, queue depth: values that are
-  cheaper to read at scrape time than to push on every change).
+* :func:`build_metrics` — one snapshot of every instrument a
+  :class:`repro.obs.recorder.Recorder` holds.  The recorder is the one
+  instrument registry; this module only renders it.
 
 Snapshots export as schema-validated ``repro-metrics/1`` JSON
 (:func:`build_metrics` / :func:`validate_metrics`) and render to the
@@ -36,7 +36,10 @@ import json
 import threading
 import time
 from bisect import bisect_left
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:  # the recorder imports this module's instruments
+    from .recorder import Recorder
 
 #: metrics snapshot format identifier; bump the suffix on breaking changes
 SCHEMA = "repro-metrics/1"
@@ -122,18 +125,7 @@ class LatencyHistogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            if self.count == 0:
-                return 0.0
-            rank = max(1, int(round(q * self.count)))
-            seen = 0
-            for index in sorted(self._counts):
-                seen += self._counts[index]
-                if seen >= rank:
-                    if index >= N_BUCKETS:
-                        return self.max
-                    return BUCKET_BOUNDS[index]
-            return self.max  # pragma: no cover - rank <= count always hits
+        return quantile_from_snapshot(self.snapshot(), q)
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-safe, mergeable state dump (per-bucket counts, not
@@ -205,93 +197,41 @@ class RateMeter:
         }
 
 
-#: one labelled instrument key: (name, sorted (label, value) pairs)
-_Key = Tuple[str, Tuple[Tuple[str, str], ...]]
-
-
-def _key(name: str, labels: Dict[str, str]) -> _Key:
-    return name, tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-class MetricsRegistry:
-    """Named, labelled instruments plus export-time gauge callbacks."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._histograms: Dict[_Key, LatencyHistogram] = {}
-        self._meters: Dict[_Key, RateMeter] = {}
-        self._counters: Dict[_Key, float] = {}
-        self._gauge_fns: Dict[str, Callable[[], float]] = {}
-
-    def histogram(self, name: str, **labels: str) -> LatencyHistogram:
-        key = _key(name, labels)
-        with self._lock:
-            hist = self._histograms.get(key)
-            if hist is None:
-                hist = self._histograms[key] = LatencyHistogram()
-            return hist
-
-    def meter(self, name: str, **labels: str) -> RateMeter:
-        key = _key(name, labels)
-        with self._lock:
-            meter = self._meters.get(key)
-            if meter is None:
-                meter = self._meters[key] = RateMeter()
-            return meter
-
-    def counter_add(self, name: str, value: float = 1.0, **labels: str) -> None:
-        key = _key(name, labels)
-        with self._lock:
-            self._counters[key] = self._counters.get(key, 0.0) + value
-
-    def gauge_fn(self, name: str, fn: Callable[[], float]) -> None:
-        """Register a callable read at export time (uptime, queue depth:
-        cheaper to read on scrape than to push on every change)."""
-        with self._lock:
-            self._gauge_fns[name] = fn
-
-    def build(
-        self, resources: Optional[Dict[str, Any]] = None
-    ) -> Dict[str, Any]:
-        """One ``repro-metrics/1`` snapshot of every instrument."""
-        with self._lock:
-            histograms = [
-                {"name": name, "labels": dict(labels), **hist.snapshot()}
-                for (name, labels), hist in sorted(self._histograms.items())
-            ]
-            meters = [
-                {"name": name, "labels": dict(labels), **meter.snapshot()}
-                for (name, labels), meter in sorted(self._meters.items())
-            ]
-            counters = [
-                {"name": name, "labels": dict(labels), "value": value}
-                for (name, labels), value in sorted(self._counters.items())
-            ]
-            gauge_fns = dict(self._gauge_fns)
-        gauges = []
-        for name, fn in sorted(gauge_fns.items()):
-            try:
-                gauges.append({"name": name, "labels": {}, "value": float(fn())})
-            except Exception:  # a broken gauge must not break the scrape
-                continue
-        payload: Dict[str, Any] = {
-            "schema": SCHEMA,
-            "created_unix": time.time(),
-            "histograms": histograms,
-            "meters": meters,
-            "counters": counters,
-            "gauges": gauges,
-        }
-        if resources is not None:
-            payload["resources"] = resources
-        return payload
-
-
 def build_metrics(
-    registry: MetricsRegistry, resources: Optional[Dict[str, Any]] = None
+    recorder: "Recorder", resources: Optional[Dict[str, Any]] = None
 ) -> Dict[str, Any]:
-    """Module-level spelling of :meth:`MetricsRegistry.build`."""
-    return registry.build(resources=resources)
+    """One ``repro-metrics/1`` snapshot of a recorder's instruments.
+
+    One entry per labelled series; gauges are the set values plus the
+    export-time callbacks, where a raising callback is skipped so a
+    broken gauge never breaks the scrape.
+    """
+
+    def entries(instruments: Dict[str, Any], body: Callable[[Any], Dict[str, Any]]):
+        rows = [(recorder.split(key), body(inst)) for key, inst in instruments.items()]
+        rows.sort(key=lambda row: (row[0][0], sorted(row[0][1].items())))
+        return [{"name": n, "labels": dict(labels), **fields} for (n, labels), fields in rows]
+
+    gauges = dict(recorder.gauges)
+    for name, fn in dict(recorder.gauge_fns).items():
+        try:
+            gauges[name] = float(fn())
+        except Exception:  # a broken gauge must not break the scrape
+            continue
+    payload: Dict[str, Any] = {
+        "schema": SCHEMA,
+        "created_unix": time.time(),
+        "histograms": entries(dict(recorder.histograms), LatencyHistogram.snapshot),
+        "meters": entries(dict(recorder.meters), RateMeter.snapshot),
+        "counters": entries(dict(recorder.counters), lambda v: {"value": v}),
+        "gauges": [
+            {"name": name, "labels": {}, "value": value}
+            for name, value in sorted(gauges.items())
+        ],
+    }
+    if resources is not None:
+        payload["resources"] = resources
+    return payload
 
 
 def _validate_entry(entry: Any, where: str, fields: Dict[str, type]) -> List[str]:
@@ -568,7 +508,6 @@ __all__ = [
     "BUCKET_GROWTH",
     "INF_LABEL",
     "LatencyHistogram",
-    "MetricsRegistry",
     "N_BUCKETS",
     "RateMeter",
     "SCHEMA",

@@ -1,4 +1,4 @@
-"""The per-process trace recorder: spans, counters, gauges.
+"""The instrument registry: spans, counters, gauges, histograms, meters.
 
 The decision pipeline is a chain of expensive stages — canonicalize
 (Theorem 3.1), iterated LAP splitting (Theorem 4.3), obstruction checks,
@@ -15,6 +15,9 @@ This module records that structure:
   sizes, worker counts), combined *across* processes by an explicit
   per-gauge merge policy (default ``"max"``; see
   :func:`merge_gauge_maps`);
+* **live instruments** — labelled latency histograms and rate meters
+  plus export-time gauge callbacks, rendered with everything else by
+  :func:`repro.obs.metrics.build_metrics`;
 * **worker snapshots** — serialized recorder state returned by
   :mod:`multiprocessing` pool workers (see :func:`capture_worker`) and
   folded into the parent with :func:`merge_worker_snapshot`, so parallel
@@ -29,8 +32,13 @@ instrumented hot paths pay one attribute load + branch per call site
 (< 5 % on ``benchmarks/bench_perf_core.py``; measured by
 ``benchmarks/bench_obs.py``).
 
-The recorder is deliberately per-process and single-stack; the library's
-parallelism is process-based (``repro.analysis.parallel``,
+The gate covers the module-level helpers only: the verdict server owns
+a :class:`Recorder` and records into it unconditionally.  A labelled
+counter is stored under the flat key ``name{k="v",...}``, so traces
+keep one ``{key: number}`` counter map.
+
+The span stack is deliberately per-process and single-threaded; the
+library's parallelism is process-based (``repro.analysis.parallel``,
 ``repro.runtime.conformance``), and worker processes get a fresh
 recorder via :func:`capture_worker`.
 """
@@ -40,7 +48,9 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+from .metrics import LatencyHistogram, RateMeter
 
 _enabled: bool = False
 _profile_memory: bool = False
@@ -261,13 +271,17 @@ def merge_gauge_maps(
 
 
 class Recorder:
-    """Per-process trace state: span tree, counters, gauges, worker merges."""
+    """Spans, counters, gauges, histograms and meters; worker merges."""
 
     __slots__ = (
         "roots",
         "counters",
         "gauges",
         "gauge_policies",
+        "gauge_fns",
+        "histograms",
+        "meters",
+        "labels",
         "worker_snapshots",
         "_stack",
         "_mem_stack",
@@ -280,6 +294,11 @@ class Recorder:
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         self.gauge_policies: Dict[str, str] = {}
+        self.gauge_fns: Dict[str, Callable[[], float]] = {}
+        self.histograms: Dict[str, LatencyHistogram] = {}
+        self.meters: Dict[str, RateMeter] = {}
+        # series key -> (name, labels), for every labelled series
+        self.labels: Dict[str, Tuple[str, Dict[str, str]]] = {}
         self.worker_snapshots: List[Dict[str, Any]] = []
         self._stack: List[SpanRecord] = []
         self._mem_stack: List[int] = []
@@ -292,8 +311,55 @@ class Recorder:
         # positional-only so an attribute may itself be called "name"
         return _ActiveSpan(self, SpanRecord(name, attrs))
 
-    def add_counter(self, name: str, value: float = 1.0) -> None:
-        self.counters[name] = self.counters.get(name, 0.0) + value
+    def add_counter(self, name: str, value: float = 1.0, /, **labels: str) -> None:
+        key = self._series(name, labels) if labels else name
+        self.counters[key] = self.counters.get(key, 0.0) + value
+
+    def histogram(self, name: str, /, **labels: str) -> LatencyHistogram:
+        return self._instrument(self.histograms, LatencyHistogram, name, labels)
+
+    def meter(self, name: str, /, **labels: str) -> RateMeter:
+        return self._instrument(self.meters, RateMeter, name, labels)
+
+    def _instrument(self, table: Dict[str, Any], kind: Any, name: str, labels: Any) -> Any:
+        """One series' instrument, created on first use; ``setdefault``
+        hands two racing creators the same one."""
+        key = self._series(name, labels)
+        found = table.get(key)
+        return found if found is not None else table.setdefault(key, kind())
+
+    def gauge_fn(self, name: str, fn: Callable[[], float]) -> None:
+        """Register a gauge read at export time, not pushed on change."""
+        self.gauge_fns[name] = fn
+
+    def _series(self, name: str, labels: Dict[str, Any]) -> str:
+        """The flat key ``name{k="v",...}`` of one series."""
+        if not labels:
+            return name
+        key = name + "{" + ",".join(f'{k}="{v}"' for k, v in sorted(labels.items())) + "}"
+        if key not in self.labels:
+            self.labels[key] = (name, {str(k): str(v) for k, v in labels.items()})
+        return key
+
+    def split(self, key: str) -> Tuple[str, Dict[str, str]]:
+        """A series key's ``(name, labels)``."""
+        return self.labels.get(key, (key, {}))
+
+    def counter_by(self, name: str, label: str) -> Dict[str, float]:
+        """``{label value: count}`` over the series of counter ``name``."""
+        out: Dict[str, float] = {}
+        for key, value in dict(self.counters).items():
+            series, labels = self.split(key)
+            if series == name and label in labels:
+                out[labels[label]] = out.get(labels[label], 0.0) + value
+        return out
+
+    def merge_counters(self, other: "Recorder") -> None:
+        """Add ``other``'s counters, labelled series included, to these."""
+        for key, value in dict(other.counters).items():
+            if key in other.labels:
+                self.labels[key] = other.labels[key]
+            self.counters[key] = self.counters.get(key, 0.0) + value
 
     def set_gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value

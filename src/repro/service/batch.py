@@ -14,9 +14,9 @@ flight **coalesces** onto the in-flight future
 cache hit rate toward 1 under duplicate-heavy traffic even before the
 first response lands in the memo store.
 
-Queue depth is exported as the ``service.queue_depth`` gauge (``max``
-policy: a high-water mark) and every dispatch counts
-``service.batches`` / ``service.batched_requests``.
+Every dispatch counts ``service.batches`` / ``service.batched_requests``
+into the queue's :class:`~repro.obs.recorder.Recorder` (the server
+passes its own); :meth:`BatchQueue.queue_depth` is read at export time.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..obs import counter_add, gauge_set
+from ..obs.recorder import Recorder
 from .cache import VerdictCache
 from .protocol import make_response
 
@@ -74,6 +74,7 @@ class BatchQueue:
         shards: int = 2,
         batch_size: int = 8,
         cache: Optional[VerdictCache] = None,
+        recorder: Optional[Recorder] = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be at least 1, got {shards}")
@@ -87,9 +88,7 @@ class BatchQueue:
         self._queues: List[asyncio.Queue] = []
         self._tasks: List[asyncio.Task] = []
         self._pending: Dict[str, Tuple[asyncio.Future, SubmitInfo]] = {}
-        self.dispatched_batches = 0
-        self.dispatched_requests = 0
-        self.coalesced = 0
+        self.recorder = recorder if recorder is not None else Recorder()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -135,8 +134,7 @@ class BatchQueue:
         pending = self._pending.get(key)
         if pending is not None:
             future, info = pending
-            self.coalesced += 1
-            counter_add("service.coalesced")
+            self.recorder.add_counter("service.coalesced")
             response = await asyncio.shield(future)
             return response, SubmitInfo(
                 coalesced=True,
@@ -150,7 +148,6 @@ class BatchQueue:
         self._queues[shard_of(key, self.shards)].put_nowait(
             (key, payload, future, time.perf_counter(), info)
         )
-        gauge_set("service.queue_depth", float(self.queue_depth()))
         response = await asyncio.shield(future)
         return response, info
 
@@ -175,10 +172,8 @@ class BatchQueue:
             await self._run_batch(shard, batch)
 
     async def _run_batch(self, shard: int, batch: List[_Item]) -> None:
-        self.dispatched_batches += 1
-        self.dispatched_requests += len(batch)
-        counter_add("service.batches")
-        counter_add("service.batched_requests", len(batch))
+        self.recorder.add_counter("service.batches")
+        self.recorder.add_counter("service.batched_requests", len(batch))
         dispatch_at = time.perf_counter()
         for _key, _payload, _fut, enqueued_at, info in batch:
             info.queue_wait_seconds = dispatch_at - enqueued_at
@@ -197,7 +192,7 @@ class BatchQueue:
             # the shard dispatcher (the server maps these to HTTP 500;
             # the CLI path never goes through a BatchQueue, so nothing
             # is silently swallowed there)
-            counter_add("service.errors.internal", len(batch))
+            self.recorder.add_counter("service.errors.internal", len(batch))
             for key, payload, future, _enqueued_at, _info in batch:
                 self._pending.pop(key, None)
                 if not future.done():

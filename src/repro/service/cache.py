@@ -15,9 +15,10 @@ dicts), not verdict objects: a hit is served byte-for-byte without
 re-rendering, which is also what makes the CLI/service bit-identical
 guarantee cheap to keep.
 
-Counters: ``service.cache.hit.memory`` / ``service.cache.hit.disk`` /
-``service.cache.miss`` feed ``repro obs diff`` like every other cache in
-the tree.  :meth:`VerdictCache.size_stats` adds the accounting half of
+Every probe counts once into the cache's recorder (the server passes
+its own): ``service.cache.hit.memory`` / ``service.cache.hit.disk`` /
+``service.cache.miss``, which :meth:`VerdictCache.stats` reads back.
+:meth:`VerdictCache.size_stats` adds the accounting half of
 the ROADMAP eviction item: per-tier entry counts plus approximate byte
 footprints (memory bytes are estimated from the canonical JSON length —
 cheap, stable across processes, and a sound relative signal for the
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from ..obs import counter_add
+from ..obs.recorder import Recorder
 from ..topology import diskstore
 from .keys import canonical_dumps
 from .protocol import SCHEMA
@@ -50,12 +51,10 @@ def _disk_put(key: str, response: Dict[str, Any]) -> None:
 class VerdictCache:
     """Two-level content-addressed response cache (memory + diskstore)."""
 
-    def __init__(self, persist: bool = True) -> None:
+    def __init__(self, persist: bool = True, recorder: Optional[Recorder] = None) -> None:
         self._memory: Dict[str, Dict[str, Any]] = {}
         self._persist = persist
-        self.hits_memory = 0
-        self.hits_disk = 0
-        self.misses = 0
+        self.recorder = recorder if recorder is not None else Recorder()
         self._memory_bytes = 0
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
@@ -76,8 +75,7 @@ class VerdictCache:
         """
         response = self._memory.get(key)
         if response is not None:
-            self.hits_memory += 1
-            counter_add("service.cache.hit.memory")
+            self.recorder.add_counter("service.cache.hit.memory")
             return response, "memory"
         if self._persist:
             stored = _disk_get(key)
@@ -87,11 +85,9 @@ class VerdictCache:
                 and stored.get("ok")
             ):
                 self._remember(key, stored)
-                self.hits_disk += 1
-                counter_add("service.cache.hit.disk")
+                self.recorder.add_counter("service.cache.hit.disk")
                 return stored, "disk"
-        self.misses += 1
-        counter_add("service.cache.miss")
+        self.recorder.add_counter("service.cache.miss")
         return None, None
 
     def put(self, key: str, response: Dict[str, Any]) -> None:
@@ -114,14 +110,17 @@ class VerdictCache:
 
     def stats(self) -> Dict[str, Any]:
         """Hit/miss totals and the end-to-end hit rate."""
-        hits = self.hits_memory + self.hits_disk
-        total = hits + self.misses
+        counters = self.recorder.counters
+        memory = int(counters.get("service.cache.hit.memory", 0))
+        disk = int(counters.get("service.cache.hit.disk", 0))
+        misses = int(counters.get("service.cache.miss", 0))
+        total = memory + disk + misses
         return {
             "entries": len(self._memory),
-            "hits_memory": self.hits_memory,
-            "hits_disk": self.hits_disk,
-            "misses": self.misses,
-            "hit_rate": (hits / total) if total else 0.0,
+            "hits_memory": memory,
+            "hits_disk": disk,
+            "misses": misses,
+            "hit_rate": ((memory + disk) / total) if total else 0.0,
         }
 
     def memory_size_stats(self) -> Dict[str, int]:

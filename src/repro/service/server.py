@@ -21,20 +21,17 @@ Live observability (the tentpole wiring):
   — threaded into the worker span tree as the ``service.batch`` span's
   ``request_ids`` attribute and onto a structured JSONL **access log**
   line (:mod:`repro.service.accesslog`);
-* ``GET /metrics`` serves the :class:`repro.obs.metrics.MetricsRegistry`
-  as Prometheus text exposition (default) or the ``repro-metrics/1``
-  JSON variant (``?format=json``): per-op and per-cache-tier latency
-  histograms, request/coalescing rate meters, HTTP status counters, and
-  uptime/queue-depth/cache-size gauges;
-* a :class:`repro.obs.sampler.ResourceSampler` thread records RSS,
-  cache entry counts/bytes per tier, keymap size and queue depth into a
-  ring exported as the snapshot's ``resources`` time series — the data
-  the soak harness fits growth slopes over.
+* the server, its verdict cache and its batch queue count every event
+  exactly once into one :class:`repro.obs.recorder.Recorder`, tracing
+  or not.  ``GET /v1/stats`` and ``GET /metrics`` are two reads of it;
+  ``/metrics`` renders it as Prometheus text (default) or as
+  ``repro-metrics/1`` JSON (``?format=json``);
+* a :class:`repro.obs.sampler.ResourceSampler` thread reads the same
+  gauge table into a ring exported as the snapshot's ``resources``
+  time series — the data the soak harness fits growth slopes over.
 
-The event-loop side records obs **counters and gauges only** — the obs
-recorder's span stack is not safe across interleaved coroutines, so
-spans live in the worker function, not here.  The metrics registry's
-own instruments are lock-guarded and safe from any thread.
+The server records no spans: a span stack is not safe across
+interleaved coroutines, so spans live in the worker function.
 """
 
 from __future__ import annotations
@@ -44,10 +41,10 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-from ..obs import counter_add
-from ..obs.metrics import MetricsRegistry, build_metrics, prometheus_text
+from ..obs.metrics import build_metrics, prometheus_text
+from ..obs.recorder import Recorder, get_recorder, tracing_enabled
 from ..obs.sampler import ResourceSampler, read_rss_bytes
 from .accesslog import AccessLog
 from .batch import BatchQueue, SubmitInfo
@@ -76,6 +73,11 @@ _REASONS = {
     500: "Internal Server Error",
 }
 
+#: the ``op`` latency label of each route; every other path shares
+#: ``not_found``, so untrusted paths cannot grow ``/metrics``
+_ROUTE_LABELS = {"/healthz": "healthz", "/v1/stats": "v1.stats",
+                 "/metrics": "metrics", "/v1/solve": "v1.solve"}
+
 
 @dataclass
 class ServerConfig:
@@ -97,7 +99,8 @@ class SolvabilityServer:
 
     def __init__(self, config: Optional[ServerConfig] = None) -> None:
         self.config = config or ServerConfig()
-        self.cache = VerdictCache(persist=self.config.persist)
+        self.recorder = Recorder()
+        self.cache = VerdictCache(persist=self.config.persist, recorder=self.recorder)
         self._pool = make_pool(self.config.pool, self.config.workers)
         self.batches = BatchQueue(
             run_request_batch,
@@ -105,63 +108,41 @@ class SolvabilityServer:
             shards=self.config.shards,
             batch_size=self.config.batch_size,
             cache=self.cache,
+            recorder=self.recorder,
         )
         self._server: Optional[asyncio.base_events.Server] = None
         self.port: Optional[int] = None
-        self.requests_total = 0
-        self.errors_total = 0
         # spelling -> (request key, canonical body).  Computing a request
         # key means *building the task* (a zoo constructor plus tagged
         # re-serialization, tens of ms for the bigger complexes), which
         # would dominate every cached hit; a byte-identical payload can
         # reuse the canonicalization the first sighting paid for.
         self._keymap: Dict[str, Tuple[str, Dict[str, Any]]] = {}
-        self.metrics = MetricsRegistry()
         self.access_log: Optional[AccessLog] = None
         self.sampler: Optional[ResourceSampler] = None
         self._started_unix: Optional[float] = None
         self._started_monotonic: Optional[float] = None
         self._request_seq = 0  # event-loop-only; suffixes request ids
-        self._register_gauges()
-
-    def _register_gauges(self) -> None:
-        """Export-time gauges: read on scrape, never pushed."""
-        self.metrics.gauge_fn("uptime_seconds", self.uptime_seconds)
-        self.metrics.gauge_fn(
-            "queue_depth", lambda: float(self.batches.queue_depth())
-        )
-        self.metrics.gauge_fn("keymap_entries", lambda: float(len(self._keymap)))
-        self.metrics.gauge_fn(
-            "cache_memory_entries",
-            lambda: float(self.cache.memory_size_stats()["entries"]),
-        )
-        self.metrics.gauge_fn("rss_bytes", read_rss_bytes)
+        for name, fn in self._gauge_sources().items():
+            self.recorder.gauge_fn(name, fn)
 
     def uptime_seconds(self) -> float:
         if self._started_monotonic is None:
             return 0.0
         return time.monotonic() - self._started_monotonic
 
-    def _resource_sources(self) -> Dict[str, Any]:
-        """What the background sampler records each tick.
-
-        The disk-tier read walks the diskstore namespace (O(entries));
-        at soak scale that is thousands of files per second of interval,
-        which stays well under the sampler period.
-        """
+    def _gauge_sources(self) -> Dict[str, Callable[[], float]]:
+        """The gauge table ``/metrics`` reads per scrape and the sampler per
+        tick.  The disk read walks the namespace (O(entries)), as
+        ``/v1/stats`` does."""
         return {
+            "uptime_seconds": self.uptime_seconds,
             "rss_bytes": read_rss_bytes,
             "keymap_entries": lambda: float(len(self._keymap)),
             "queue_depth": lambda: float(self.batches.queue_depth()),
-            "cache_memory_entries": lambda: float(
-                self.cache.memory_size_stats()["entries"]
-            ),
-            "cache_memory_bytes": lambda: float(
-                self.cache.memory_size_stats()["approx_bytes"]
-            ),
-            "cache_disk_entries": lambda: float(
-                self.cache.size_stats()["disk"]["entries"]
-            ),
+            "cache_memory_entries": lambda: float(self.cache.memory_size_stats()["entries"]),
+            "cache_memory_bytes": lambda: float(self.cache.memory_size_stats()["approx_bytes"]),
+            "cache_disk_entries": lambda: float(self.cache.size_stats()["disk"]["entries"]),
         }
 
     # -- lifecycle ---------------------------------------------------------
@@ -173,7 +154,7 @@ class SolvabilityServer:
         if self.config.access_log:
             self.access_log = AccessLog(self.config.access_log)
         self.sampler = ResourceSampler(
-            self._resource_sources(), interval=self.config.sample_interval
+            self.recorder.gauge_fns, interval=self.config.sample_interval
         )
         self.sampler.start()
         await self.batches.start()
@@ -215,8 +196,7 @@ class SolvabilityServer:
                 try:
                     parsed = await self._read_request(reader)
                 except ProtocolError as exc:
-                    counter_add("service.errors.bad_request")
-                    self.metrics.counter_add("http_responses", status="400")
+                    self._observe("-", "-", 400, 0.0, {})
                     await self._write_response(
                         writer, 400, {"error": str(exc)}, keep_alive=False
                     )
@@ -249,21 +229,23 @@ class SolvabilityServer:
         latency: float,
         access: Dict[str, Any],
     ) -> None:
-        """Record one completed request: histograms, meters, access log."""
-        route = path.partition("?")[0]  # keep label cardinality query-free
-        op = access.get("op") or route.lstrip("/").replace("/", ".") or "root"
-        self.metrics.histogram("request_latency_seconds", op=op).record(latency)
-        self.metrics.meter("requests").record()
-        self.metrics.counter_add("http_responses", status=str(status))
+        """Record one response: status counter, histograms, meters, log.
+
+        A request too malformed to route has no ``route`` and no latency.
+        """
+        rec = self.recorder
+        rec.add_counter("http_responses", status=str(status))
+        rec.meter("requests").record()
         if status >= 400:
-            self.metrics.meter("errors").record()
+            rec.meter("errors").record()
+        op = access.get("op") or access.get("route")
+        if op is not None:
+            rec.histogram("request_latency_seconds", op=op).record(latency)
         tier = access.get("cache_tier")
         if access.get("op"):  # solve requests only: tier is meaningful
-            self.metrics.histogram(
-                "tier_latency_seconds", tier=tier or "miss"
-            ).record(latency)
+            rec.histogram("tier_latency_seconds", tier=tier or "miss").record(latency)
         if access.get("coalesced"):
-            self.metrics.meter("coalesced").record()
+            rec.meter("coalesced").record()
         if self.access_log is not None:
             self.access_log.write(
                 request_id=access.get("request_id", "-"),
@@ -300,7 +282,10 @@ class SolvabilityServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise ProtocolError(f"malformed Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise ProtocolError(f"request body of {length} bytes is too large")
         body = await reader.readexactly(length) if length else b""
@@ -320,11 +305,10 @@ class SolvabilityServer:
     async def _route(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Union[Dict[str, Any], Tuple[str, str]], Dict[str, Any]]:
-        self.requests_total += 1
-        counter_add("service.requests")
         path, _, query = path.partition("?")
         access: Dict[str, Any] = {
-            "request_id": self._next_request_id(content_hash(f"{method} {path}"))
+            "request_id": self._next_request_id(content_hash(f"{method} {path}")),
+            "route": _ROUTE_LABELS.get(path, "not_found"),
         }
         if path == "/healthz":
             if method != "GET":
@@ -353,27 +337,22 @@ class SolvabilityServer:
         try:
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self.errors_total += 1
-            counter_add("service.errors.bad_request")
             return 400, {"error": f"request body is not JSON: {exc}"}, access
         spelling = canonical_dumps(payload)
         known = self._keymap.get(spelling)
         if known is not None:
             key, canonical = known
-            counter_add("service.keymap.hit")
-            counter_add(f"service.op.{canonical['op']}")
+            self.recorder.add_counter("service.keymap.hit")
         else:
             try:
                 req = parse_request(payload)
-                counter_add(f"service.op.{req.op}")
                 task = resolve_task(req.task)
                 key = request_key(req, task)
             except ProtocolError as exc:
-                self.errors_total += 1
-                counter_add("service.errors.bad_request")
                 return 400, {"error": str(exc)}, access
             canonical = canonical_body(req, task)
             self._keymap[spelling] = (key, canonical)
+        self.recorder.add_counter(f"service.op.{canonical['op']}")
         # re-derive the id from the content key so the access log, the
         # span attr and the cache entry all share one greppable prefix
         request_id = self._next_request_id(key)
@@ -403,7 +382,6 @@ class SolvabilityServer:
             not response.get("ok")
             and response.get("error", {}).get("kind") == "internal-error"
         ):
-            self.errors_total += 1
             return 500, response, access
         return 200, response, access
 
@@ -435,25 +413,32 @@ class SolvabilityServer:
     def metrics_snapshot(self) -> Dict[str, Any]:
         """One ``repro-metrics/1`` snapshot (instruments + resource ring)."""
         resources = self.sampler.series() if self.sampler is not None else None
-        return build_metrics(self.metrics, resources=resources)
+        return build_metrics(self.recorder, resources=resources)
 
     def stats(self) -> Dict[str, Any]:
-        """A JSON-safe snapshot for ``GET /v1/stats`` and the bench."""
+        """A JSON-safe snapshot for ``GET /v1/stats`` and the bench.
+
+        Counts are the recorder's: ``requests`` and ``errors`` sum
+        ``http_responses{status}`` (all, and >= 400), which a response
+        joins as it is sent — so this read does not count itself.
+        """
+        counters = self.recorder.counters
+        responses = self.recorder.counter_by("http_responses", "status")
         cache_stats = self.cache.stats()
         cache_stats["tiers"] = self.cache.size_stats()
         return {
             "schema": SCHEMA,
-            "requests": self.requests_total,
-            "errors": self.errors_total,
+            "requests": int(sum(responses.values())),
+            "errors": int(sum(n for code, n in responses.items() if int(code) >= 400)),
             "uptime_seconds": self.uptime_seconds(),
             "keymap": {"entries": len(self._keymap)},
             "cache": cache_stats,
             "batch": {
                 "shards": self.batches.shards,
                 "batch_size": self.batches.batch_size,
-                "dispatched_batches": self.batches.dispatched_batches,
-                "dispatched_requests": self.batches.dispatched_requests,
-                "coalesced": self.batches.coalesced,
+                "dispatched_batches": int(counters.get("service.batches", 0)),
+                "dispatched_requests": int(counters.get("service.batched_requests", 0)),
+                "coalesced": int(counters.get("service.coalesced", 0)),
                 "queue_depth": self.batches.queue_depth(),
             },
             "pool": self.config.pool,
@@ -467,6 +452,10 @@ class ServerThread:
     The synchronous wrapper tests and the bench harness use: ``start()``
     blocks until the listen port is known, ``stop()`` is threadsafe and
     joins the thread.  Usable as a context manager.
+
+    With tracing on, ``stop()`` folds the server's counters into the
+    process recorder, so an in-process traced run keeps them (counters
+    only: the topology-cache delta is this process's, already traced).
     """
 
     def __init__(self, config: Optional[ServerConfig] = None) -> None:
@@ -524,6 +513,8 @@ class ServerThread:
         if self._thread is not None:
             self._thread.join(timeout)
             self._thread = None
+            if tracing_enabled():
+                get_recorder().merge_counters(self.server.recorder)
 
     def __enter__(self) -> "ServerThread":
         return self.start()

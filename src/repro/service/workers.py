@@ -7,11 +7,14 @@ warm diskstore handles across batches — the same warm-table effect the
 census pool measured at 4–8.6x.
 
 ``pool="thread"`` (default) runs batches on a thread pool inside the
-server process: counters and spans land in the server's recorder, and
-with the default single worker the span tree stays well-nested.
-``pool="process"`` forks a :class:`~concurrent.futures.ProcessPoolExecutor`
-for CPU-parallel misses (worker-side telemetry is not merged back —
-acceptable for a throughput-oriented deployment).  ``pool="inline"``
+server process: when tracing is on, the decide path's spans and
+counters land in the process recorder, and with the default single
+worker the span tree stays well-nested.  ``pool="process"`` forks a
+:class:`~concurrent.futures.ProcessPoolExecutor` for CPU-parallel misses
+(worker-side telemetry is not merged back — acceptable for a
+throughput-oriented deployment).  Batch and request counts are the
+dispatcher's (``service.batches`` / ``service.batched_requests`` in
+:mod:`repro.service.batch`), not counted again here.  ``pool="inline"``
 executes synchronously in the caller, which tests use for determinism.
 """
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional
 
-from ..obs import counter_add, span
+from ..obs import span
 from .execution import execute_payload
 
 #: accepted pool kinds for :func:`make_pool`
@@ -41,8 +44,6 @@ def run_request_batch(payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     span as the ``request_ids`` attribute, which is what joins an
     access-log line to the span tree that computed it.
     """
-    counter_add("service.worker.batches")
-    counter_add("service.worker.requests", len(payloads))
     request_ids = [
         rid
         for payload in payloads

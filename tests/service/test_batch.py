@@ -80,6 +80,23 @@ class TestBatching:
         assert executed.count(_key(7)) == 1
         assert all(r == results[0] for r in results)
 
+    def test_dispatch_counts_land_in_the_recorder(self):
+        async def run():
+            queue = BatchQueue(_backend_ok, None, shards=1, batch_size=8)
+            await queue.start()
+            key = _key(5)
+            await asyncio.gather(
+                *(queue.submit(key, {"key": key, "n": 5}) for _ in range(4)),
+                queue.submit(_key(6), {"key": _key(6), "n": 6}),
+            )
+            await queue.stop()
+            return queue.recorder.counters
+
+        counters = asyncio.run(run())
+        assert counters["service.coalesced"] == 3
+        assert counters["service.batched_requests"] == 2
+        assert counters["service.batches"] >= 1
+
     def test_backend_defect_fails_the_batch_not_the_dispatcher(self):
         attempts = []
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.obs import tracing
+from repro.obs.recorder import Recorder
 from repro.service.cache import NAMESPACE, VerdictCache
 from repro.service.protocol import make_response
 from repro.topology import diskstore
@@ -33,13 +33,10 @@ class TestMemoryLevel:
             key = "a" * 40
             assert cache.get(key) is None
             cache.put(key, _response(key))
-            with tracing() as rec:
-                before = rec.counters.get("service.cache.hit.memory", 0)
-                assert cache.get(key) == _response(key)
-                assert (
-                    rec.counters.get("service.cache.hit.memory", 0)
-                    == before + 1
-                )
+            rec = cache.recorder
+            before = rec.counters.get("service.cache.hit.memory", 0)
+            assert cache.get(key) == _response(key)
+            assert rec.counters.get("service.cache.hit.memory", 0) == before + 1
             stats = cache.stats()
             assert stats["hits_memory"] == 1
             assert stats["misses"] == 1
@@ -59,21 +56,18 @@ class TestDiskLevel:
         with diskstore.store_at(str(tmp_path / "s")):
             key = "c" * 40
             VerdictCache().put(key, _response(key))
-            fresh = VerdictCache()
-            with tracing() as rec:
-                disk_before = rec.counters.get("service.cache.hit.disk", 0)
-                assert fresh.get(key) == _response(key)
-                assert (
-                    rec.counters.get("service.cache.hit.disk", 0)
-                    == disk_before + 1
-                )
-                # promoted: second probe is a memory hit
-                mem_before = rec.counters.get("service.cache.hit.memory", 0)
-                fresh.get(key)
-                assert (
-                    rec.counters.get("service.cache.hit.memory", 0)
-                    == mem_before + 1
-                )
+            rec = Recorder()
+            fresh = VerdictCache(recorder=rec)
+            disk_before = rec.counters.get("service.cache.hit.disk", 0)
+            assert fresh.get(key) == _response(key)
+            assert rec.counters.get("service.cache.hit.disk", 0) == disk_before + 1
+            # promoted: second probe is a memory hit
+            mem_before = rec.counters.get("service.cache.hit.memory", 0)
+            fresh.get(key)
+            assert (
+                rec.counters.get("service.cache.hit.memory", 0) == mem_before + 1
+            )
+            assert fresh.stats()["hits_disk"] == 1
 
     def test_foreign_objects_under_the_namespace_are_misses(self, tmp_path):
         with diskstore.store_at(str(tmp_path / "s")):

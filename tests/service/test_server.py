@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
@@ -61,9 +62,92 @@ class TestRoutes:
         assert "unknown task" in payload["error"]
 
     def test_stats_shape(self, client):
+        client.health()  # a response is counted once it is sent
         stats = client.stats()
         assert stats["requests"] >= 1
         assert "cache" in stats and "batch" in stats
+
+
+def _raw_exchange(port: int, data: bytes) -> bytes:
+    """Send raw bytes on a fresh connection; read until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_malformed_content_length_is_a_counted_400(self, length):
+        with ServerThread(ServerConfig(persist=False)) as st:
+            reply = _raw_exchange(
+                st.port,
+                b"POST /v1/solve HTTP/1.1\r\nContent-Length: " + length
+                + b"\r\n\r\n{}",
+            )
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert b"Content-Length" in reply.partition(b"\r\n\r\n")[2]
+            stats = st.server.stats()
+        assert stats["requests"] == 1
+        assert stats["errors"] == 1
+
+    def test_unknown_paths_share_one_latency_series(self, server, client):
+        def series():
+            return {
+                h["labels"]["op"]
+                for h in server.server.metrics_snapshot()["histograms"]
+                if h["name"] == "request_latency_seconds"
+            }
+
+        before = series()
+        for i in range(20):
+            status, _ = client._request("GET", f"/no/such/path/{i}")
+            assert status == 404
+        after = series()
+        assert len(after - before) <= 1
+        assert "not_found" in after
+
+
+class TestOneRegistry:
+    def test_stats_and_metrics_read_the_same_counters(self, tmp_path):
+        """/v1/stats and /metrics are two views of one recorder."""
+        from repro.topology import diskstore
+
+        with diskstore.store_at(str(tmp_path / "store")):
+            with ServerThread(ServerConfig(pool="inline", shards=1)) as st:
+                with ServiceClient(st.url) as client:
+                    for task in ("consensus", "hourglass", "consensus"):
+                        assert client.decide(task)["ok"] is True
+                    client.decide("hourglass")
+                    client._conn.request("POST", "/v1/solve", body=b"{nope")
+                    client._conn.getresponse().read()
+                    assert client._request("GET", "/nowhere")[0] == 404
+                assert _raw_exchange(st.port, b"GARBAGE\r\n\r\n").startswith(
+                    b"HTTP/1.1 400 "
+                )
+                stats = st.server.stats()
+                snapshot = st.server.metrics_snapshot()
+
+        responses = {
+            int(c["labels"]["status"]): c["value"]
+            for c in snapshot["counters"]
+            if c["name"] == "http_responses"
+        }
+        assert stats["requests"] == sum(responses.values()) == 7
+        assert stats["errors"] == sum(
+            n for status, n in responses.items() if status >= 400
+        ) == 3
+        tiers = {
+            h["labels"]["tier"]: h["count"]
+            for h in snapshot["histograms"]
+            if h["name"] == "tier_latency_seconds"
+        }
+        cache = stats["cache"]
+        assert cache["hits_memory"] == tiers.get("memory", 0) == 2
+        assert cache["hits_disk"] == tiers.get("disk", 0)
+        assert cache["misses"] == tiers.get("miss", 0) == 2
 
 
 class TestSolve:

@@ -19,7 +19,6 @@ from repro.obs.metrics import (
     N_BUCKETS,
     SCHEMA,
     LatencyHistogram,
-    MetricsRegistry,
     RateMeter,
     bucket_index,
     build_metrics,
@@ -29,6 +28,7 @@ from repro.obs.metrics import (
     quantile_from_snapshot,
     validate_metrics,
 )
+from repro.obs.recorder import Recorder
 
 
 class TestBucketing:
@@ -173,8 +173,10 @@ class TestRateMeter:
 
 
 class TestMetricsRegistry:
+    """The recorder is the one metrics registry."""
+
     def test_same_name_and_labels_share_one_instrument(self):
-        reg = MetricsRegistry()
+        reg = Recorder()
         assert reg.histogram("lat", op="decide") is reg.histogram(
             "lat", op="decide"
         )
@@ -183,10 +185,10 @@ class TestMetricsRegistry:
         )
 
     def test_build_validates_and_carries_everything(self):
-        reg = MetricsRegistry()
+        reg = Recorder()
         reg.histogram("latency", op="decide").record(0.01)
         reg.meter("requests").record()
-        reg.counter_add("responses", status="200")
+        reg.add_counter("responses", status="200")
         reg.gauge_fn("uptime", lambda: 12.5)
         payload = build_metrics(reg)
         assert validate_metrics(payload) == []
@@ -199,24 +201,56 @@ class TestMetricsRegistry:
         }
 
     def test_broken_gauge_never_breaks_the_scrape(self):
-        reg = MetricsRegistry()
+        reg = Recorder()
         reg.gauge_fn("ok", lambda: 1.0)
         reg.gauge_fn("broken", lambda: 1 / 0)
-        payload = reg.build()
+        payload = build_metrics(reg)
         assert validate_metrics(payload) == []
         assert [g["name"] for g in payload["gauges"]] == ["ok"]
 
+    def test_labelled_counters_share_the_trace_counter_map(self):
+        reg = Recorder()
+        reg.add_counter("http_responses", status="200")
+        reg.add_counter("http_responses", 2, status="404")
+        reg.add_counter("plain")
+        assert reg.counters == {
+            'http_responses{status="200"}': 1.0,
+            'http_responses{status="404"}': 2.0,
+            "plain": 1.0,
+        }
+        assert reg.counter_by("http_responses", "status") == {
+            "200": 1.0,
+            "404": 2.0,
+        }
+        exported = {
+            (c["name"], tuple(c["labels"].items())): c["value"]
+            for c in build_metrics(reg)["counters"]
+        }
+        assert exported[("http_responses", (("status", "404"),))] == 2.0
+        assert exported[("plain", ())] == 1.0
+
+    def test_merge_counters_adds_series_and_keeps_labels(self):
+        server, process = Recorder(), Recorder()
+        server.add_counter("service.batches", 2)
+        server.add_counter("http_responses", status="200")
+        server.histogram("latency").record(0.01)
+        process.add_counter("service.batches")
+        process.merge_counters(server)
+        assert process.counters["service.batches"] == 3.0
+        assert process.counter_by("http_responses", "status") == {"200": 1.0}
+        assert process.histograms == {}  # counters only
+
     def test_resources_ride_in_the_snapshot(self):
-        reg = MetricsRegistry()
+        reg = Recorder()
         resources = {"samples": [{"t": 0.0, "values": {"rss_bytes": 1.0}}]}
-        payload = reg.build(resources=resources)
+        payload = build_metrics(reg, resources=resources)
         assert validate_metrics(payload) == []
         assert payload["resources"] == resources
 
 
 class TestValidateMetrics:
     def _minimal(self):
-        return build_metrics(MetricsRegistry())
+        return build_metrics(Recorder())
 
     def test_rejects_non_object(self):
         assert validate_metrics([]) != []
@@ -254,15 +288,16 @@ class TestValidateMetrics:
 
 class TestPrometheusExposition:
     def _payload(self):
-        reg = MetricsRegistry()
+        reg = Recorder()
         hist = reg.histogram("request_latency_seconds", op="decide")
         for value in (0.001, 0.002, 0.5, 1e6):
             hist.record(value)
         reg.meter("requests").record(3)
-        reg.counter_add("http_responses", 7, status="200")
+        reg.add_counter("http_responses", 7, status="200")
         reg.gauge_fn("uptime_seconds", lambda: 42.0)
-        return reg.build(
-            resources={"samples": [{"t": 1.0, "values": {"rss_bytes": 1024.0}}]}
+        return build_metrics(
+            reg,
+            resources={"samples": [{"t": 1.0, "values": {"rss_bytes": 1024.0}}]},
         )
 
     def test_text_parses_and_buckets_cumulate(self):
@@ -301,16 +336,16 @@ class TestPrometheusExposition:
         assert prometheus_text(recovered) == prometheus_text(payload)
 
     def test_metric_names_are_sanitized(self):
-        reg = MetricsRegistry()
-        reg.counter_add("service.op/decide-now")
-        text = prometheus_text(reg.build())
+        reg = Recorder()
+        reg.add_counter("service.op/decide-now")
+        text = prometheus_text(build_metrics(reg))
         assert "repro_service_op_decide_now_total" in text
         parse_prometheus_text(text)  # and the result is legal
 
     def test_label_values_are_escaped(self):
-        reg = MetricsRegistry()
-        reg.counter_add("c", path='we"ird\\label')
-        samples = parse_prometheus_text(prometheus_text(reg.build()))
+        reg = Recorder()
+        reg.add_counter("c", path='we"ird\\label')
+        samples = parse_prometheus_text(prometheus_text(build_metrics(reg)))
         assert len(samples) == 1
 
     def test_parser_rejects_malformed_lines(self):

@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry, validate_metrics
+from repro.obs.metrics import build_metrics, validate_metrics
+from repro.obs.recorder import Recorder
 from repro.obs.sampler import (
     ResourceSampler,
     fit_slope,
@@ -56,7 +57,7 @@ class TestResourceSampler:
         assert series["interval_seconds"] == 0.5
         assert series["names"] == ["x"]
         assert series["samples"] == [{"t": 0.0, "values": {"x": 5.0}}]
-        payload = MetricsRegistry().build(resources=series)
+        payload = build_metrics(Recorder(), resources=series)
         assert validate_metrics(payload) == []
 
     def test_thread_samples_and_stop_appends_endpoint(self):
