@@ -5,12 +5,15 @@ Two questions, answered with numbers in the session summary table:
 * **disabled** — the instrumented hot paths pay one attribute load +
   branch per call site while tracing is off (the default).  Measured two
   ways: a micro-bench of the disabled ``span()`` / ``counter_add()``
-  call sites themselves, and full ``decide_solvability`` runs (same
-  workloads as ``bench_perf_core.py``) whose wall clock is dominated by
-  the mathematics — the instrumentation must stay within noise (< 5 %).
+  call sites themselves, and full ``decide_solvability`` runs (a cheap
+  and a splitting-heavy zoo task) whose wall clock is dominated by the
+  mathematics — the instrumentation must stay within noise (< 5 %).
 * **enabled** — full tracing (span tree + counters + cache deltas) on
   the same decisions, reported as a ratio against the untraced run, with
   the exported ``repro-trace/1`` payload schema-validated.
+
+Each workload is timed with ``time.perf_counter`` (best of a few repeats)
+and reported through the ``report`` fixture's summary table.
 
 Run with the tier-2 suite::
 
@@ -18,6 +21,8 @@ Run with the tier-2 suite::
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -31,7 +36,6 @@ from repro.obs import (
     tracing,
     validate_trace,
 )
-from repro.perf import PerfHarness, validate_report
 from repro.tasks.zoo import hourglass_task, path_task, pinwheel_task
 from repro.topology import cache_clear
 
@@ -48,7 +52,15 @@ WORKLOADS = {
     ],
 }
 
-_HARNESS = PerfHarness("obs_overhead")
+def _best_of(repeat, fn, *args):
+    """``(last result, best wall seconds)`` over ``repeat`` calls."""
+    best = float("inf")
+    result = None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        result = fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return result, best
 
 
 def _decide(make, max_rounds):
@@ -66,11 +78,8 @@ def _spin_callsites(n: int) -> int:
 def test_disabled_callsite_microbench(report, smoke):
     set_tracing(False)
     n = 10_000 if smoke else 200_000
-    _, m = _HARNESS.measure(
-        "callsites:disabled", _spin_callsites, n, repeat=3, meta={"n": n}
-    )
-    ns_per_site = m.best / n * 1e9
-    m.counters["ns_per_callsite"] = ns_per_site
+    _, best = _best_of(3, _spin_callsites, n)
+    ns_per_site = best / n * 1e9
     report.row(workload="callsites:disabled", n=n, ns_per_site=round(ns_per_site, 1))
 
 
@@ -80,40 +89,23 @@ def test_decision_overhead_disabled_vs_enabled(report, smoke):
     for name, make, max_rounds in WORKLOADS[mode]:
         set_tracing(False)
         cache_clear()
-        untraced, m_off = _HARNESS.measure(
-            f"decide:{name}:untraced",
-            _decide,
-            make,
-            max_rounds,
-            repeat=repeat,
-            meta={"tracing": False, "mode": mode},
-        )
+        untraced, off_s = _best_of(repeat, _decide, make, max_rounds)
 
         reset_recorder()
         cache_clear()
         with tracing():
-            traced, m_on = _HARNESS.measure(
-                f"decide:{name}:traced",
-                _decide,
-                make,
-                max_rounds,
-                repeat=repeat,
-                meta={"tracing": True, "mode": mode},
-            )
+            traced, on_s = _best_of(repeat, _decide, make, max_rounds)
             payload = build_trace(meta={"command": f"bench decide {name}"})
         assert validate_trace(payload) == []
         assert traced.status is untraced.status
 
-        overhead = m_on.best / m_off.best - 1.0
-        m_on.counters["overhead_fraction"] = overhead
-        m_on.counters["spans"] = float(
-            sum(1 for root in payload["spans"] for _ in _walk(root))
-        )
+        overhead = on_s / off_s - 1.0
         report.row(
             workload=f"decide:{name}",
-            untraced_s=round(m_off.best, 4),
-            traced_s=round(m_on.best, 4),
+            untraced_s=round(off_s, 4),
+            traced_s=round(on_s, 4),
             overhead=f"{overhead * 100:+.1f}%",
+            spans=sum(1 for root in payload["spans"] for _ in _walk(root)),
             verdict=traced.status.value,
         )
 
@@ -150,26 +142,12 @@ def test_live_metrics_hot_path(report, smoke):
 
     n = 10_000 if smoke else 200_000
     hist = LatencyHistogram()
-    _, m_hist = _HARNESS.measure(
-        "metrics:histogram_record", _spin_histogram, hist, n, repeat=3,
-        meta={"n": n},
-    )
-    registry = Recorder()
-    _, m_reg = _HARNESS.measure(
-        "metrics:registry_record", _spin_registry, registry, n, repeat=3,
-        meta={"n": n},
-    )
+    _, hist_s = _best_of(3, _spin_histogram, hist, n)
+    _, reg_s = _best_of(3, _spin_registry, Recorder(), n)
     assert hist.count >= n  # the work really happened
-    for m, label in ((m_hist, "histogram_record"), (m_reg, "registry_record")):
-        ns_per_record = m.best / n * 1e9
-        m.counters["ns_per_record"] = ns_per_record
+    for best, label in ((hist_s, "histogram_record"), (reg_s, "registry_record")):
+        ns_per_record = best / n * 1e9
         report.row(
             workload=f"metrics:{label}", n=n, ns_per_record=round(ns_per_record, 1)
         )
 
-
-def test_emit_report(report, smoke, tmp_path):
-    assert _HARNESS.measurements, "workload benches must run before emission"
-    payload = _HARNESS.write(str(tmp_path / "BENCH_obs.json"))
-    assert validate_report(payload) == []
-    report.row(workload="emit", results=len(payload["results"]), smoke=smoke)

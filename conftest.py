@@ -1,9 +1,9 @@
 """Repo-level pytest plumbing shared by the test and benchmark trees.
 
-``--benchmark-smoke`` shrinks the perf-core benchmark to tiny populations
-so the harness itself (and its JSON schema) is exercised on every PR —
-tier 2 runs ``pytest benchmarks -m perf --benchmark-smoke`` — without the
-full-size measurement cost.
+``--benchmark-smoke`` shrinks the ``perf``-marked benches
+(``benchmarks/bench_obs.py``) to tiny inputs, so
+``pytest benchmarks -m perf --benchmark-smoke`` checks that they run
+without the full-size measurement cost.
 """
 
 from __future__ import annotations

@@ -1088,8 +1088,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out",
         metavar="FILE",
-        help="write the repro-perf/1 report (e.g. "
-        "benchmarks/BENCH_service.json)",
+        help="write the repro-perf/1 report to FILE",
     )
     p.add_argument(
         "--shards", type=int, default=2, help="in-process server: shards"

@@ -29,8 +29,7 @@ like :func:`repro.topology.cache.set_caching`: when disabled,
 :func:`span` returns a shared no-op context manager and
 :func:`counter_add` / :func:`gauge_set` return immediately, so the
 instrumented hot paths pay one attribute load + branch per call site
-(< 5 % on ``benchmarks/bench_perf_core.py``; measured by
-``benchmarks/bench_obs.py``).
+(within noise on full decides; measured by ``benchmarks/bench_obs.py``).
 
 The gate covers the module-level helpers only: the verdict server owns
 a :class:`Recorder` and records into it unconditionally.  A labelled

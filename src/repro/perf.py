@@ -1,34 +1,28 @@
-"""Timing harness for the performance benchmarks.
+"""The ``repro-perf/1`` report: schema, builder and validator.
 
-The fast-topology work (interned simplices, memoized complex queries,
-bitmask map search, the parallel census) is only trustworthy if its gains
-are *measured*, on every PR, in a form later PRs can diff.  This module is
-that instrument: a small wall-clock + counter harness whose reports are
-machine-readable JSON (``benchmarks/BENCH_perf_core.json``) with a fixed,
-validated schema — see :data:`SCHEMA` and :func:`validate_report`.
-
-A report records, per workload:
+``python -m repro serve-bench --out`` writes its measurements as one
+report; ``repro.obs`` stamps :func:`machine_info` into traces and run
+records, and ``obs ingest`` condenses reports into ``repro-run/1``.  A
+report records, per workload:
 
 * wall-clock seconds for every repeat (plus best/mean),
-* counters — search nodes/backtracks from
-  :class:`~repro.solvability.map_search.SearchStats`, cache hit rates from
-  :func:`repro.topology.cache_info`, anything numeric the bench wants kept,
-* free-form metadata (population sizes, worker counts, cache on/off…),
+* counters, anything numeric the producer wants kept,
+* free-form metadata,
 
 together with enough machine context (CPU count, Python version) to read
-absolute numbers honestly across hosts.
+absolute numbers honestly across hosts.  Speed is measured by the
+repository benchmark (``perfbench/``), not through this module.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import platform
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set
 
 #: Report format identifier; bump the suffix on breaking changes.
 SCHEMA = "repro-perf/1"
@@ -85,76 +79,6 @@ class PerfHarness:
         self.measurements: List[Measurement] = []
         self.derived: Dict[str, float] = {}
 
-    def measure(
-        self,
-        name: str,
-        fn: Callable[..., Any],
-        *args: Any,
-        repeat: int = 1,
-        counters: Optional[Dict[str, float]] = None,
-        meta: Optional[Dict[str, Any]] = None,
-        **kwargs: Any,
-    ) -> Tuple[Any, Measurement]:
-        """Run ``fn(*args, **kwargs)`` ``repeat`` times and record it.
-
-        Returns ``(last_result, measurement)``; counters that depend on the
-        result can be added to ``measurement.counters`` afterwards.
-
-        Measurement names must be unique within a harness — a duplicate
-        would make ``harness[name]`` and :meth:`speedup` silently resolve
-        to whichever entry came first, reporting ratios against the wrong
-        numbers.
-        """
-        if repeat < 1:
-            raise ValueError("repeat must be at least 1")
-        if any(m.name == name for m in self.measurements):
-            raise ValueError(
-                f"duplicate measurement name {name!r}; names must be unique "
-                "so lookups and speedups are unambiguous"
-            )
-        seconds: List[float] = []
-        result: Any = None
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            result = fn(*args, **kwargs)
-            seconds.append(time.perf_counter() - t0)
-        m = Measurement(
-            name=name,
-            seconds_each=seconds,
-            counters=dict(counters or {}),
-            meta=dict(meta or {}),
-        )
-        self.measurements.append(m)
-        return result, m
-
-    def __getitem__(self, name: str) -> Measurement:
-        for m in self.measurements:
-            if m.name == name:
-                return m
-        raise KeyError(name)
-
-    def speedup(self, baseline: str, contender: str) -> float:
-        """``best(baseline) / best(contender)`` — >1 means contender wins.
-
-        Raises :class:`ValueError` when either side's best time is zero,
-        negative or non-finite: a ~0s timing (e.g. a fully cached no-op)
-        would otherwise be clamped into a fictitious huge-but-finite
-        ratio, poisoning the derived numbers later PRs diff against.
-        """
-        base = self[baseline].best
-        cont = self[contender].best
-        for name, best in ((baseline, base), (contender, cont)):
-            if not math.isfinite(best) or best <= 0.0:
-                raise ValueError(
-                    f"cannot compute a speedup: measurement {name!r} has a "
-                    f"degenerate best time of {best!r}s (the workload must "
-                    "do measurable work — re-run with more repeats or a "
-                    "larger input instead of reporting a fictitious ratio)"
-                )
-        ratio = base / cont
-        self.derived[f"speedup:{contender}/{baseline}"] = ratio
-        return ratio
-
     def to_report(self) -> Dict[str, Any]:
         return {
             "schema": SCHEMA,
@@ -177,23 +101,12 @@ class PerfHarness:
         return payload
 
 
-def cache_counters(prefix: str = "cache") -> Dict[str, float]:
-    """Flatten :func:`repro.topology.cache_info` into report counters."""
-    from .topology import cache_info
-
-    flat: Dict[str, float] = {}
-    for query, stats in cache_info().items():
-        for key, value in stats.items():
-            flat[f"{prefix}.{query}.{key}"] = float(value)
-    return flat
-
-
 def validate_report(payload: Any) -> List[str]:
     """Check a report against the ``repro-perf/1`` schema; returns problems.
 
     An empty list means the payload is valid.  Kept dependency-free (no
-    jsonschema in this environment) and deliberately strict about types so
-    the tier-2 smoke test catches format drift.
+    jsonschema dependency) and deliberately strict about types so a
+    format drift fails the tests.
     """
     errors: List[str] = []
 
@@ -237,8 +150,8 @@ def validate_report(payload: Any) -> List[str]:
             continue
         name = entry.get("name")
         if expect(isinstance(name, str), f"{where}.name must be a string"):
-            # duplicates would make name-based lookups (and speedups
-            # computed from them) silently ambiguous
+            # duplicates would make name-based lookups (``obs ingest``
+            # keys results by name) silently ambiguous
             expect(
                 name not in seen_names,
                 f"{where}.name {name!r} duplicates an earlier measurement",

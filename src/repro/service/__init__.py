@@ -22,8 +22,8 @@ is the long-running layer that makes that true:
 * :mod:`repro.service.server` — the stdlib asyncio HTTP server;
 * :mod:`repro.service.client` — the blocking client and the zipf-skewed
   load generator behind ``repro serve-bench``;
-* :mod:`repro.service.bench` — the duplicate-heavy load benchmark that
-  emits ``benchmarks/BENCH_service.json`` (``repro-perf/1``);
+* :mod:`repro.service.bench` — the duplicate-heavy load benchmark behind
+  ``repro serve-bench``, which writes a ``repro-perf/1`` report;
 * :mod:`repro.service.accesslog` — structured JSONL access logging, one
   line per completed request, joinable to trace spans by request id;
 * :mod:`repro.service.soak` — the sustained-load soak harness behind

@@ -1,7 +1,7 @@
 """The service benchmark: duplicate-heavy load, cache-split latency.
 
-One entry point, :func:`run_service_bench`, shared by the ``repro
-serve-bench`` CLI and ``benchmarks/bench_service.py``.  The methodology:
+One entry point, :func:`run_service_bench`, behind the ``repro
+serve-bench`` CLI.  The methodology:
 
 1. build (or replay) a zipf-skewed, seeded request stream — duplication
    is the point, the service's whole value is that repeated specs are
@@ -13,11 +13,12 @@ serve-bench`` CLI and ``benchmarks/bench_service.py``.  The methodology:
    every request is a hit and the hit-rate / p50 / p99 numbers describe
    the regime the server actually runs in.
 
-The report is ``repro-perf/1`` (the same schema every other bench in
-``benchmarks/`` emits, so ``repro obs ingest`` and ``obs diff`` work on
-it unchanged) with one measurement per pass plus the cached/uncached
-latency samples, and a derived ``speedup:cached_hit/uncached_decide``
-ratio — the headline number.
+The report is ``repro-perf/1`` (so ``repro obs ingest`` and ``obs diff``
+work on it unchanged) with one measurement per pass plus the
+cached/uncached latency samples, and a derived
+``speedup:cached_hit/uncached_decide`` ratio.  Its gates (hit rate, p99
+ceiling) catch a cache bypass; speed across commits is measured by the
+repository benchmark's ``service-zipf`` workload (``perfbench/``).
 """
 
 from __future__ import annotations

@@ -9,13 +9,14 @@ service exists for only shows up under repeated keys.
 
 Latency accounting is client-side wall clock per request (the number a
 caller actually experiences), summarized with the nearest-rank
-percentiles the perf harness uses.
+percentiles (rank ``ceil(p/100 * n)``) that serve-bench gates on.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import math
 import random
 import socket
 import threading
@@ -244,10 +245,9 @@ def percentile(values: Sequence[float], p: float) -> float:
     if not 0 <= p <= 100:
         raise ValueError(f"percentile must be in [0, 100], got {p}")
     ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, int(round(p / 100 * len(ordered))) - 1))
-    if p == 0:
-        rank = 0
-    return ordered[rank]
+    # rank ceil(p/100 * n), 1-based; p == 0 reads the minimum
+    rank = max(1, math.ceil(p * len(ordered) / 100))
+    return ordered[rank - 1]
 
 
 def run_load(

@@ -9,14 +9,14 @@ those queries use:
 * :func:`memoized_method` — a decorator storing results in a per-instance
   ``_cache`` dict, keyed by ``(query name, args)``;
 * a **global enable flag** — :func:`set_caching`, :func:`caching_enabled`
-  and the :func:`caching_disabled` context manager, used by benchmarks to
-  measure the uncached baseline honestly (disabled mode bypasses both
-  lookup *and* store);
+  and the :func:`caching_disabled` context manager, used by the parity
+  tests to compute the uncached result honestly (disabled mode bypasses
+  both lookup *and* store);
 * an **epoch counter** — :func:`cache_clear` invalidates every per-instance
   cache at once without keeping a registry of instances (each cache records
   the epoch it was built in and is discarded when stale);
 * **hit/miss statistics** per query, reported by :func:`cache_info` so the
-  perf harness can emit hit rates alongside timings.
+  traces and run records carry hit rates.
 
 The caches are correctness-neutral: a memoized query must return the same
 value the underlying computation would.  ``tests/topology/test_cache.py``
@@ -92,9 +92,9 @@ def set_caching(enabled: bool) -> bool:
 def caching_disabled() -> Iterator[None]:
     """Context manager: run a block with memoization bypassed entirely.
 
-    Used by ``benchmarks/bench_perf_core.py`` to time the uncached
-    baseline; neither lookups nor stores happen inside the block, so
-    previously cached results cannot leak into the measurement.
+    Neither lookups nor stores happen inside the block, so previously
+    cached results cannot leak into an uncached computation (the cache
+    parity tests compare against it).
     """
     previous = set_caching(False)
     try:

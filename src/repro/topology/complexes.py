@@ -10,8 +10,8 @@ Because instances are immutable, every structural query is memoized through
 connectivity computations on the same complex are answered from
 a per-instance cache.  ``repro.topology.cache.cache_info()`` reports hit
 rates, ``cache_clear()`` invalidates everything, and the
-``caching_disabled()`` context manager bypasses the layer (benchmarks use
-it to measure the uncached baseline).
+``caching_disabled()`` context manager bypasses the layer (the parity
+tests use it to compute the uncached result).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The replay-from-scratch DFS enumerator that ``explore_schedules`` replaced.
 It re-steps every prefix through a fresh :class:`Execution` for each node
 it visits, so it is slow but obviously correct.  ``test_scheduler.py``
 asserts the prefix-tree enumerator yields the same traces in the same
-order, and ``benchmarks/bench_conformance.py`` measures against it.
+order.
 """
 
 from __future__ import annotations

@@ -66,7 +66,7 @@ class TestBenchRun:
         assert check_gates(bench_result, max_p99_ms=0.0) != []
 
     def test_harness_report_writes(self, bench_result, tmp_path):
-        out = tmp_path / "BENCH_service.json"
+        out = tmp_path / "bench-service.json"
         bench_result["harness"].write(str(out))
         assert validate_report(json.loads(out.read_text())) == []
 

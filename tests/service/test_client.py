@@ -60,6 +60,18 @@ class TestPercentile:
         assert percentile(values, 99) == 99.0
         assert percentile(values, 100) == 100.0
         assert percentile(values, 0) == 1.0
+        # odd lengths: rank ceil(p/100 * n), where round-half-even read
+        # one rank low
+        five = [float(v) for v in range(1, 6)]
+        assert percentile(five, 50) == 3.0
+        assert percentile(five, 90) == 5.0
+        nine = [float(v) for v in range(1, 10)]
+        assert percentile(nine, 50) == 5.0
+        assert percentile(nine, 90) == 9.0
+        big = [float(v) for v in range(1, 151)]
+        assert percentile(big, 50) == 75.0
+        assert percentile(big, 90) == 135.0
+        assert percentile(big, 99) == 149.0
 
     def test_empty_and_bounds(self):
         assert percentile([], 50) == 0.0

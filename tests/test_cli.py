@@ -298,7 +298,7 @@ class TestServeBench:
     def test_emits_a_valid_report_and_passes_its_gates(self, tmp_path, capsys):
         from repro.perf import validate_report
 
-        out = tmp_path / "BENCH_service.json"
+        out = tmp_path / "bench-service.json"
         assert (
             main(
                 [
@@ -523,11 +523,13 @@ class TestObs:
             main(["obs", "diff", "zzz", "yyy", "--store", str(store)])
 
     def test_ingest_bench_report(self, tmp_path, capsys):
+        report = tmp_path / "bench-service.json"
+        bench = ["serve-bench", "--requests", "8", "--concurrency", "2",
+                 "--pool-size", "1", "--no-persist", "--out", str(report)]
+        assert main(bench) == 0
+        capsys.readouterr()
         store = tmp_path / "telemetry.jsonl"
-        code = main(
-            ["obs", "ingest", "benchmarks/BENCH_perf_core.json", "--store", str(store)]
-        )
-        assert code == 0
+        assert main(["obs", "ingest", str(report), "--store", str(store)]) == 0
         assert "ingested" in capsys.readouterr().out
         assert main(["obs", "validate", "--store", str(store)]) == 0
 

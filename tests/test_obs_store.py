@@ -203,17 +203,17 @@ class TestBenchIngest:
     }
 
     def test_bench_report_becomes_a_valid_record(self):
-        record = bench_run_record(self.REPORT, source="BENCH_perf_core.json")
+        record = bench_run_record(self.REPORT, source="bench-perf-core.json")
         assert validate_run_record(record) == []
         assert record["command"] == "bench perf_core"
         assert record["spans"]["decide_zoo"]["wall_seconds"] == 1.25
         assert record["spans"]["decide_zoo"]["count"] == 3
         assert record["counters"]["decide_zoo.tasks"] == 12.0
         assert record["gauges"]["cache_speedup"] == 3.5
-        assert record["meta"]["source"] == "BENCH_perf_core.json"
+        assert record["meta"]["source"] == "bench-perf-core.json"
 
     def test_load_record_file_auto_converts_perf_reports(self, tmp_path):
-        path = tmp_path / "BENCH_perf_core.json"
+        path = tmp_path / "bench-perf-core.json"
         path.write_text(json.dumps(self.REPORT))
         record = load_record_file(str(path))
         assert record["schema"] == "repro-run/1"
