@@ -34,10 +34,11 @@ from ..tasks.task import Task
 from ..topology.complexes import SimplicialComplex
 from ..topology.homology import (
     ChainBasis,
+    SmithForm,
     boundary_matrix,
     cycle_space_generators,
     edge_chain,
-    solve_integer,
+    smith_form,
 )
 from ..topology.simplex import Simplex, Vertex
 
@@ -250,6 +251,44 @@ def corollary_5_6(task: Task) -> Optional[ObstructionWitness]:
 # ---------------------------------------------------------------------------
 
 
+#: the input edges of a facet ``(x0, x1, x2)``, in boundary-loop order
+_LOOP_EDGES = ((0, 1), (1, 2), (2, 0))
+
+
+def boundary_loop_system(
+    task: Task, sigma: Simplex
+) -> Optional[Tuple[ChainBasis, np.ndarray, Dict[Tuple[int, int], SimplicialComplex]]]:
+    """The integer system of the H1 boundary test on one input triangle.
+
+    Returns ``(basis, matrix, edge_images)``: ``basis`` is the chain basis
+    of ``Δ(σ)``, ``matrix`` is ``[∂₂ | free cycles]`` over its edge basis
+    (the boundaries of ``Δ(σ)`` next to the integral cycles of every edge
+    image, the freedom in choosing connecting paths), and ``edge_images``
+    maps each pair of :data:`_LOOP_EDGES` to its ``Δ(edge)``.  ``None``
+    when ``Δ(σ)`` has no edges.
+    """
+    verts = sigma.sorted_vertices()
+    basis = ChainBasis.of(task.delta(sigma))
+    if basis.dim_count(1) == 0:
+        return None
+    edge_images = {
+        pair: task.delta(Simplex([verts[pair[0]], verts[pair[1]]]))
+        for pair in _LOOP_EDGES
+    }
+    columns = [boundary_matrix(basis, 2)]
+    for pair in _LOOP_EDGES:
+        sub = edge_images[pair]
+        cycles = cycle_space_generators(sub)
+        sub_edges = ChainBasis.of(sub).by_dim[1] if cycles else ()
+        for cyc in cycles:
+            vec = np.zeros((basis.dim_count(1), 1), dtype=np.int64)
+            for idx, e in enumerate(sub_edges):
+                if cyc[idx]:
+                    vec[basis.index(e), 0] = cyc[idx]
+            columns.append(vec)
+    return basis, np.concatenate(columns, axis=1), edge_images
+
+
 def homological_obstruction(task: Task) -> Optional[ObstructionWitness]:
     """Check the H1 boundary obstruction on each input facet.
 
@@ -258,43 +297,28 @@ def homological_obstruction(task: Task) -> Optional[ObstructionWitness]:
     the corresponding ``Δ(edge)``; the concatenated loop must bound in
     ``Δ(σ)``.  Path choices within ``Δ(edge)`` change the loop's class by
     integral cycles of ``Δ(edge)``, so for fixed ``y_i`` the question is an
-    integer linear system.  If no choice of ``y_i`` admits a solution, no
-    continuous map exists and the task is unsolvable.
+    integer linear system (:func:`boundary_loop_system`), whose matrix does
+    not depend on the ``y_i``: it is reduced to Smith normal form once per
+    facet.  If no choice of ``y_i`` admits a solution, no continuous map
+    exists and the task is unsolvable.
     """
     for sigma in task.input_complex.facets:
         if sigma.dim != 2:
             continue
-        verts = sigma.sorted_vertices()
-        big = task.delta(sigma)
-        basis = ChainBasis.of(big)
-        if basis.dim_count(1) == 0:
+        system = boundary_loop_system(task, sigma)
+        if system is None:
             continue
-        d2 = boundary_matrix(basis, 2)
-        edge_pairs = [(0, 1), (1, 2), (2, 0)]
-        edge_images = {
-            pair: task.delta(Simplex([verts[pair[0]], verts[pair[1]]]))
-            for pair in edge_pairs
-        }
-        # generators of path-choice freedom: integral cycles inside each
-        # edge image, expressed in the big complex's edge basis
-        free_cycles: List[np.ndarray] = []
-        for pair in edge_pairs:
-            sub = edge_images[pair]
-            sub_basis = ChainBasis.of(sub)
-            for cyc in cycle_space_generators(sub):
-                vec = np.zeros(basis.dim_count(1), dtype=np.int64)
-                for idx, e in enumerate(sub_basis.by_dim[1]):
-                    if cyc[idx]:
-                        vec[basis.index(e)] = cyc[idx]
-                free_cycles.append(vec)
-
-        candidates = [tuple(task.delta(Simplex([v])).vertices) for v in verts]
+        basis, matrix, edge_images = system
+        candidates = [
+            tuple(task.delta(Simplex([v])).vertices) for v in sigma.sorted_vertices()
+        ]
+        form: Optional[SmithForm] = None
         any_choice_works = False
         any_choice_connected = False
         for choice in itertools.product(*candidates):
             paths = {}
             ok = True
-            for pair in edge_pairs:
+            for pair in _LOOP_EDGES:
                 # the chosen path only changes the boundary loop by a cycle
                 # of the edge image, which the integer system mods out —
                 # any shortest path will do
@@ -309,17 +333,12 @@ def homological_obstruction(task: Task) -> Optional[ObstructionWitness]:
                 continue
             any_choice_connected = True
             loop: List[Vertex] = []
-            for pair in edge_pairs:
+            for pair in _LOOP_EDGES:
                 loop.extend(paths[pair][:-1])
-            loop.append(paths[edge_pairs[-1]][-1])
-            c0 = edge_chain(basis, loop)
-            if free_cycles:
-                a = np.concatenate(
-                    [d2, np.stack(free_cycles, axis=1)], axis=1
-                )
-            else:
-                a = d2
-            if solve_integer(a, c0) is not None:
+            loop.append(paths[_LOOP_EDGES[-1]][-1])
+            if form is None:
+                form = smith_form(matrix)
+            if form.solve(edge_chain(basis, loop)) is not None:
                 any_choice_works = True
                 break
         if not any_choice_works:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Tuple
 
+from ..obs import span
 from ..tasks.canonical import is_canonical
 from ..tasks.task import Task, TaskError
 from ..topology.carrier import CarrierMap
@@ -117,14 +118,32 @@ def split_lap(task: Task, lap: LocalArticulationPoint, check: bool = True) -> Sp
         raise SplittingError("the splitting deformation requires a canonical task")
 
     y = lap.vertex
+    copies = tuple(Vertex(y.color, SplitValue(y.value, i)) for i in range(lap.n_components))
+    with span("split.rewrite"):
+        new_images = _rewrite_images(task, lap, copies)
+    with span("split.task_build"):
+        all_facets: List[Simplex] = []
+        for img in new_images.values():
+            all_facets.extend(img.facets)
+        new_output = ChromaticComplex(all_facets, name=task.output_complex.name)
+        delta = CarrierMap(task.input_complex, new_output, new_images, check=False)
+    with span("split.monotonize"):
+        delta = delta.monotonize()
+    with span("split.task_build"):
+        after = Task(task.input_complex, new_output, delta, name=task.name, check=check)
+    return SplitStep(before=task, after=after, lap=lap, copies=copies)
+
+
+def _rewrite_images(
+    task: Task, lap: LocalArticulationPoint, copies: Tuple[Vertex, ...]
+) -> Dict[Simplex, SimplicialComplex]:
+    """Every image ``Δ(τ)`` with the LAP's vertex replaced by its copies."""
+    y = lap.vertex
     sigma = lap.facet
-    r = lap.n_components
-    copies = tuple(Vertex(y.color, SplitValue(y.value, i)) for i in range(r))
     comp_of: Dict[Vertex, int] = {}
     for i, comp in enumerate(lap.components):
         for z in comp:
             comp_of[z] = i
-
     new_images: Dict[Simplex, SimplicialComplex] = {}
     for tau in task.input_complex.simplices():
         image = task.delta(tau)
@@ -152,20 +171,4 @@ def split_lap(task: Task, lap: LocalArticulationPoint, check: bool = True) -> Sp
             else:
                 new_facets.extend(rho.replace_vertex(y, c) for c in copies)
         new_images[tau] = SimplicialComplex(new_facets)
-
-    all_facets: List[Simplex] = []
-    for img in new_images.values():
-        all_facets.extend(img.facets)
-    new_output = ChromaticComplex(
-        all_facets, name=task.output_complex.name
-    )
-    delta = CarrierMap(task.input_complex, new_output, new_images, check=False)
-    delta = delta.monotonize()
-    after = Task(
-        task.input_complex,
-        new_output,
-        delta,
-        name=task.name,
-        check=check,
-    )
-    return SplitStep(before=task, after=after, lap=lap, copies=copies)
+    return new_images

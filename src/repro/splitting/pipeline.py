@@ -22,6 +22,7 @@ from ..obs import annotate, counter_add, span
 from ..tasks.canonical import CanonicalForm, canonicalize_if_needed
 from ..tasks.task import Task
 from ..topology import diskstore
+from ..topology.complexes import complexes_built
 from ..topology.simplex import Vertex
 from .deformation import SplitStep, split_lap, unsplit_vertex
 from .lap import (
@@ -93,8 +94,10 @@ def eliminate_laps(task: Task, max_steps: int = 10_000) -> SplitPipelineResult:
         with span("split.facet", facet=str(sigma)) as facet_span:
             budget = max_steps
             splits_before = len(steps)
+            built_before = complexes_built()
             while True:
-                laps = local_articulation_points(current, facet=sigma)
+                with span("split.lap_detect"):
+                    laps = local_articulation_points(current, facet=sigma)
                 if not laps:
                     break
                 if budget <= 0:
@@ -109,8 +112,10 @@ def eliminate_laps(task: Task, max_steps: int = 10_000) -> SplitPipelineResult:
                 steps.append(step)
                 current = step.after
             facet_splits = len(steps) - splits_before
-            annotate(facet_span, splits=facet_splits)
+            facet_built = complexes_built() - built_before
+            annotate(facet_span, splits=facet_splits, complexes_built=facet_built)
             counter_add("split.steps", facet_splits)
+            counter_add("split.complexes_built", facet_built)
             if facet_splits:
                 counter_add("split.facets_with_laps")
     return SplitPipelineResult(original=task, task=current, steps=tuple(steps))

@@ -56,6 +56,18 @@ def _restore_complex(cls, simplices, facets, vertices, dim, name):
 #: slots that define a complex's identity; frozen once ``__init__`` sets them
 _STRUCTURAL_SLOTS = frozenset({"_simplices", "_facets", "_vertices", "_dim"})
 
+#: complexes ``SimplicialComplex.__init__`` has built in this process
+_built = 0
+
+
+def complexes_built() -> int:
+    """How many complexes this process has constructed (unpickling excluded).
+
+    A write-only tally: split tracing reports its growth across each
+    LAP-elimination pass as the ``split.complexes_built`` counter.
+    """
+    return _built
+
 
 class SimplicialComplex:
     """A finite abstract simplicial complex.
@@ -81,6 +93,8 @@ class SimplicialComplex:
     )
 
     def __init__(self, simplices: Iterable, name: Optional[str] = None):
+        global _built
+        _built += 1
         # The closure is computed over raw vertex frozensets so that each
         # distinct face allocates exactly one Simplex, however many input
         # simplices share it; sorting and per-face derived data stay lazy.

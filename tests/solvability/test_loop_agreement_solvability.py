@@ -23,6 +23,7 @@ from repro.topology.homology import (
     edge_chain,
     homology_torsion,
     is_null_homologous,
+    smith_form,
 )
 
 
@@ -80,3 +81,23 @@ class TestObstructionDirect:
         w = homological_obstruction(task)
         assert w is not None
         assert "over Z" in w.detail
+
+    def test_one_smith_form_per_facet(self, monkeypatch):
+        # the system [∂₂ | free cycles] does not depend on the solo-output
+        # choice, so an unsolvable facet, which tries every choice, still
+        # reduces it once
+        from repro.solvability import obstructions
+
+        task = loop_agreement_task(projective_plane_loop())
+        reduced = []
+
+        def counting_smith_form(a):
+            reduced.append(a.shape)
+            return smith_form(a)
+
+        monkeypatch.setattr(obstructions, "smith_form", counting_smith_form)
+        w = homological_obstruction(task)
+        assert w.detail == "no boundary-loop choice bounds in Δ(σ) over Z"
+        facets = list(task.input_complex.facets)
+        assert len(reduced) <= facets.index(w.facet) + 1
+        assert (108, 159) in reduced

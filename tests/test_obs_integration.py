@@ -94,6 +94,21 @@ class TestTracedDecide:
         assert max(per_facet) == 12  # the budget is per-facet, and this
         # is the largest single-facet demand (see tests/splitting)
 
+    def test_split_sub_spans_cover_the_split(self):
+        # LAP detection, image rewriting, monotonization and task building
+        # account for a cold split, so a trace attributes its cost
+        with diskstore.store_disabled():
+            verdict, recorder = _traced_decide(majority_consensus_task())
+        assert verdict.stats["n_splits"] == 42
+        split = recorder.find_span("split")
+        parts = ("split.lap_detect", "split.rewrite", "split.monotonize", "split.task_build")
+        covered = sum(r.wall_seconds for r in split.walk() if r.name in parts)
+        assert covered >= 0.95 * split.wall_seconds
+        assert {r.name for r in split.walk()} >= set(parts)
+        facets = [r for r in split.walk() if r.name == "split.facet"]
+        built = recorder.counters["split.complexes_built"]
+        assert built == sum(r.attrs["complexes_built"] for r in facets) > 0
+
     def test_stats_backfill_matches_untraced_run(self):
         traced, _ = _traced_decide(hourglass_task())
         untraced = decide_solvability(hourglass_task(), max_rounds=2)

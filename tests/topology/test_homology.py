@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.topology import homology
 from repro.topology.complexes import SimplicialComplex
 from repro.topology.homology import (
     ChainBasis,
@@ -172,6 +173,18 @@ class TestBettiNumbers:
         # over Q the projective plane looks like a point in dims 0..2
         assert betti_numbers(projective_plane) == (1, 0, 0)
 
+    def test_each_boundary_rank_computed_once(self, torus, monkeypatch):
+        calls = []
+
+        def counting_rank(a):
+            calls.append(a.shape)
+            return integer_rank(a)
+
+        monkeypatch.setattr(homology, "integer_rank", counting_rank)
+        assert betti_numbers(torus) == (1, 2, 1)
+        # ∂_1 and ∂_2; ∂_0 is zero and the torus has no 3-simplices
+        assert calls == [(9, 27), (27, 18)]
+
 
 class TestTorsion:
     def test_projective_plane_torsion(self, projective_plane):
@@ -185,6 +198,11 @@ class TestTorsion:
 
 
 class TestChains:
+    def test_basis_index_matches_basis_order(self, torus):
+        basis = ChainBasis.of(torus)
+        for simplices in basis.by_dim:
+            assert [basis.index(s) for s in simplices] == list(range(len(simplices)))
+
     def test_edge_chain_cycle(self, circle):
         basis = ChainBasis.of(circle)
         z = edge_chain(basis, ["a", "b", "c", "a"])
