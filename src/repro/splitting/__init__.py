@@ -1,6 +1,7 @@
 """Section 4: local articulation points and the splitting deformation."""
 
 from .deformation import (
+    SplitRecord,
     SplitStep,
     SplitValue,
     SplittingError,
@@ -10,7 +11,6 @@ from .deformation import (
 )
 from .lap import (
     LocalArticulationPoint,
-    count_laps_per_facet,
     is_link_connected_task,
     iter_local_articulation_points,
     local_articulation_points,
@@ -27,13 +27,13 @@ from .pipeline import (
 __all__ = [
     "LocalArticulationPoint",
     "SplitPipelineResult",
+    "SplitRecord",
     "SplitStep",
     "SplitValue",
     "SplittingDidNotConverge",
     "SplittingError",
     "TransformNotLinkConnected",
     "TransformResult",
-    "count_laps_per_facet",
     "eliminate_laps",
     "is_link_connected_task",
     "iter_local_articulation_points",

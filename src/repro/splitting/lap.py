@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterator, Optional, Tuple
 
 from ..tasks.task import Task
+from ..topology.complexes import SimplicialComplex
 from ..topology.simplex import Simplex, Vertex
 
 
@@ -57,11 +58,17 @@ def iter_local_articulation_points(
 ) -> Iterator[LocalArticulationPoint]:
     facets = (facet,) if facet is not None else task.input_complex.facets
     for sigma in facets:
-        image = task.delta(sigma)
-        for y in image.vertices:
-            comps = image.link_components(y)
-            if len(comps) >= 2:
-                yield LocalArticulationPoint(vertex=y, facet=sigma, components=comps)
+        yield from iter_image_laps(task.delta(sigma), sigma)
+
+
+def iter_image_laps(
+    image: SimplicialComplex, sigma: Simplex
+) -> Iterator[LocalArticulationPoint]:
+    """The LAPs of one facet image ``Δ(σ)``, vertices in canonical order."""
+    for y in image.vertices:
+        comps = image.link_components(y)
+        if len(comps) >= 2:
+            yield LocalArticulationPoint(vertex=y, facet=sigma, components=comps)
 
 
 def is_link_connected_task(task: Task) -> bool:
@@ -73,10 +80,3 @@ def is_link_connected_task(task: Task) -> bool:
     """
     return next(iter_local_articulation_points(task), None) is None
 
-
-def count_laps_per_facet(task: Task) -> dict:
-    """``{facet: number of LAPs w.r.t. it}`` — used by benchmarks."""
-    out = {}
-    for sigma in task.input_complex.facets:
-        out[sigma] = len(local_articulation_points(task, facet=sigma))
-    return out

@@ -3,7 +3,9 @@
 ``eliminate_laps`` repeatedly applies the splitting deformation, facet by
 facet, until the task is link-connected; Lemma 4.1 guarantees progress
 (the LAP count w.r.t. the current facet strictly decreases, and facets
-already cleaned stay clean).
+already cleaned stay clean).  All splits update one
+:class:`~repro.splitting.deformation.ImageTable`, frozen into a
+:class:`Task` once, after the last facet.
 
 ``link_connected_form`` is the complete front end used by the decision
 procedure: canonicalize if needed (Section 3), then split (Section 4),
@@ -24,12 +26,8 @@ from ..tasks.task import Task
 from ..topology import diskstore
 from ..topology.complexes import complexes_built
 from ..topology.simplex import Vertex
-from .deformation import SplitStep, split_lap, unsplit_vertex
-from .lap import (
-    LocalArticulationPoint,
-    is_link_connected_task,
-    local_articulation_points,
-)
+from .deformation import ImageTable, SplitRecord, unsplit_vertex
+from .lap import is_link_connected_task
 
 
 class SplittingDidNotConverge(RuntimeError):
@@ -58,7 +56,7 @@ class SplitPipelineResult:
 
     original: Task
     task: Task
-    steps: Tuple[SplitStep, ...]
+    steps: Tuple[SplitRecord, ...]
 
     @property
     def n_splits(self) -> int:
@@ -76,7 +74,9 @@ class SplitPipelineResult:
 def eliminate_laps(task: Task, max_steps: int = 10_000) -> SplitPipelineResult:
     """Apply splitting deformations until the task is link-connected.
 
-    The task must be canonical (callers should use
+    The splits rewrite one :class:`ImageTable`; the deformed task is built
+    once at the end, and a task without LAPs is returned as it is.  The
+    task must be canonical (callers should use
     :func:`link_connected_form` which handles canonicalization).  Facets
     are processed in canonical order; within a facet, the first LAP in
     canonical order is split each round, matching the constructive proof of
@@ -88,7 +88,7 @@ def eliminate_laps(task: Task, max_steps: int = 10_000) -> SplitPipelineResult:
     *per facet*).  Exhausting the budget on any single facet raises
     :class:`SplittingDidNotConverge`.
     """
-    current = task
+    table = ImageTable(task)
     steps = []
     for sigma in task.input_complex.facets:
         with span("split.facet", facet=str(sigma)) as facet_span:
@@ -97,8 +97,8 @@ def eliminate_laps(task: Task, max_steps: int = 10_000) -> SplitPipelineResult:
             built_before = complexes_built()
             while True:
                 with span("split.lap_detect"):
-                    laps = local_articulation_points(current, facet=sigma)
-                if not laps:
+                    lap = table.first_lap(sigma)
+                if lap is None:
                     break
                 if budget <= 0:
                     raise SplittingDidNotConverge(
@@ -108,9 +108,7 @@ def eliminate_laps(task: Task, max_steps: int = 10_000) -> SplitPipelineResult:
                         "performed before this facet's budget ran out)"
                     )
                 budget -= 1
-                step = split_lap(current, laps[0], check=False)
-                steps.append(step)
-                current = step.after
+                steps.append(table.split(lap))
             facet_splits = len(steps) - splits_before
             facet_built = complexes_built() - built_before
             annotate(facet_span, splits=facet_splits, complexes_built=facet_built)
@@ -118,6 +116,10 @@ def eliminate_laps(task: Task, max_steps: int = 10_000) -> SplitPipelineResult:
             counter_add("split.complexes_built", facet_built)
             if facet_splits:
                 counter_add("split.facets_with_laps")
+    if not steps:
+        return SplitPipelineResult(original=task, task=task, steps=())
+    with span("split.task_build"):
+        current = table.freeze()
     return SplitPipelineResult(original=task, task=current, steps=tuple(steps))
 
 

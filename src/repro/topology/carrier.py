@@ -60,8 +60,12 @@ class CarrierMap:
             if not isinstance(img, SimplicialComplex):
                 img = SimplicialComplex(img)
             self._images[s] = img
-        for s in domain.simplices():
-            self._images.setdefault(s, SimplicialComplex.empty())
+        missing = [s for s in domain.simplices() if s not in self._images]
+        if missing:
+            # complexes are immutable, so one empty image serves them all
+            empty = SimplicialComplex.empty()
+            for s in missing:
+                self._images[s] = empty
         if check:
             self.validate()
 

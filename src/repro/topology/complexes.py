@@ -107,6 +107,10 @@ class SimplicialComplex:
             if vs not in by_set:
                 by_set[vs] = s
                 tops.append(vs)
+        # Every simplex is a face of some input simplex, so a simplex fails
+        # to be maximal iff the closure pass below generates it as a
+        # proper face.
+        non_facets = set()
         for vs in tops:
             size = len(vs)
             if size > 1:
@@ -114,16 +118,9 @@ class SimplicialComplex:
                 for k in range(1, size):
                     for combo in itertools.combinations(items, k):
                         fs = frozenset(combo)
+                        non_facets.add(fs)
                         if fs not in by_set:
                             by_set[fs] = Simplex(fs)
-        # A simplex fails to be maximal iff it is a codimension-1 face of
-        # some simplex in the (downward-closed) collection, so one pass over
-        # all boundaries identifies every non-facet.
-        non_facets = set()
-        for vs in by_set:
-            if len(vs) > 1:
-                for v in vs:
-                    non_facets.add(vs - {v})
         self._simplices: FrozenSet[Simplex] = frozenset(by_set.values())
         self._facets: Tuple[Simplex, ...] = tuple(
             sorted(

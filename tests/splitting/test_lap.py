@@ -3,12 +3,18 @@
 import pytest
 
 from repro.splitting.lap import (
-    count_laps_per_facet,
     is_link_connected_task,
     local_articulation_points,
 )
 from repro.tasks.zoo import hourglass_articulation_vertex, identity_task
 from repro.topology.simplex import Vertex
+
+
+def _laps_per_facet(task):
+    return {
+        sigma: len(local_articulation_points(task, facet=sigma))
+        for sigma in task.input_complex.facets
+    }
 
 
 class TestDetection:
@@ -63,15 +69,15 @@ class TestLinkConnectedPredicate:
 
 class TestCounting:
     def test_counts(self, hourglass):
-        counts = count_laps_per_facet(hourglass)
+        counts = _laps_per_facet(hourglass)
         assert sum(counts.values()) == 1
 
     def test_counts_identity(self, identity3):
-        counts = count_laps_per_facet(identity3)
+        counts = _laps_per_facet(identity3)
         assert all(v == 0 for v in counts.values())
 
     def test_majority_has_laps_per_mixed_facet(self, majority):
         # LAPs are detected on the canonicalized task in the pipeline, but
         # the raw majority task also exhibits them on mixed-input facets
-        counts = count_laps_per_facet(majority)
+        counts = _laps_per_facet(majority)
         assert any(v > 0 for v in counts.values())

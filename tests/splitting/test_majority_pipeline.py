@@ -10,12 +10,18 @@ import pytest
 
 from repro.solvability import corollary_5_5
 from repro.splitting import (
-    count_laps_per_facet,
     link_connected_form,
     local_articulation_points,
 )
 from repro.tasks.canonical import canonicalize, split_product_vertex
 from repro.topology.simplex import Simplex, Vertex, chrom
+
+
+def _laps_per_facet(task):
+    return {
+        sigma: len(local_articulation_points(task, facet=sigma))
+        for sigma in task.input_complex.facets
+    }
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +39,7 @@ class TestCanonicalMajority:
 
     def test_laps_concentrate_on_mixed_facets(self, majority):
         star = canonicalize(majority).task
-        counts = count_laps_per_facet(star)
+        counts = _laps_per_facet(star)
         for facet, count in counts.items():
             values = {v.value for v in facet.vertices}
             if len(values) == 1:
@@ -41,7 +47,7 @@ class TestCanonicalMajority:
 
     def test_mixed_facets_have_laps(self, majority):
         star = canonicalize(majority).task
-        counts = count_laps_per_facet(star)
+        counts = _laps_per_facet(star)
         mixed = [
             f for f in counts if len({v.value for v in f.vertices}) == 2
         ]

@@ -1,17 +1,24 @@
 """Unit tests for iterated LAP elimination and the full transform."""
 
+import pickle
+
 import pytest
 
-from repro.splitting.deformation import unsplit_vertex
+from repro.obs import tracing
+from repro.splitting.deformation import SplitRecord, split_lap, unsplit_vertex
 from repro.splitting.lap import is_link_connected_task, local_articulation_points
 from repro.splitting.pipeline import (
+    SplitPipelineResult,
     SplittingDidNotConverge,
     TransformNotLinkConnected,
+    TransformResult,
     eliminate_laps,
     link_connected_form,
 )
 from repro.tasks.canonical import canonicalize_if_needed, is_canonical
+from repro.tasks.task import Task
 from repro.tasks.zoo import random_single_input_task
+from repro.topology import diskstore
 from repro.topology.simplex import Vertex
 
 
@@ -32,9 +39,13 @@ class TestEliminateLaps:
         assert result.task is identity3
 
     def test_intermediate_tasks_canonical(self, pinwheel):
-        result = eliminate_laps(pinwheel)
-        for step in result.steps:
-            assert is_canonical(step.after)
+        # the pipeline keeps no per-step tasks, so split one LAP at a time
+        current = pinwheel
+        for _ in range(9):
+            lap = local_articulation_points(current)[0]
+            current = split_lap(current, lap).after
+            assert is_canonical(current)
+        assert is_link_connected_task(current)
 
     def test_budget_enforced(self, pinwheel):
         with pytest.raises(SplittingDidNotConverge):
@@ -126,8 +137,6 @@ class TestOrderIndependence:
     (component counts, facet counts) must not depend on it."""
 
     def _eliminate_with_order(self, task, reverse: bool):
-        from repro.splitting.deformation import split_lap
-
         current = canonicalize_if_needed(task).task
         splits = 0
         while True:
@@ -158,3 +167,57 @@ class TestOrderIndependence:
         assert len(fwd.output_complex.connected_components()) == len(
             bwd.output_complex.connected_components()
         )
+
+
+class TestTransformEntries:
+    """The transform the diskstore keeps: small, and old entries still load."""
+
+    def test_majority_transform_pickle_is_lean(self, majority):
+        with diskstore.store_disabled():
+            result = link_connected_form(majority)
+        assert len(pickle.dumps(result)) < 128 * 1024
+        for step in result.pipeline.steps:
+            assert isinstance(step, SplitRecord)
+            assert not any(isinstance(v, Task) for v in vars(step).values())
+
+    def _store_per_step_layout(self, task):
+        """Store the transform the way the per-step pipeline did: each step
+        a ``SplitStep`` carrying its ``before`` and ``after`` tasks."""
+        from . import reference
+
+        canonical = canonicalize_if_needed(task.restrict_to_reachable())
+        final, steps = reference.eliminate_laps(canonical.task)
+        pipeline = SplitPipelineResult(original=canonical.task, task=final, steps=steps)
+        entry = TransformResult(
+            original=task, canonical=canonical, pipeline=pipeline, task=final
+        )
+        key = diskstore.task_key(task)
+        path = diskstore.store("transform", key, entry)
+        assert path is not None
+        return path, entry
+
+    def test_per_step_layout_entry_loads(self, tmp_path, pinwheel):
+        with diskstore.store_at(str(tmp_path / "store")):
+            _, entry = self._store_per_step_layout(pinwheel)
+            with tracing() as rec:
+                loaded = link_connected_form(pinwheel)
+            assert rec.counters.get("diskstore.transform.hit", 0) == 1
+        with diskstore.store_disabled():
+            fresh = link_connected_form(pinwheel)
+        assert loaded.n_splits == entry.n_splits == fresh.n_splits == 9
+        assert loaded.task == fresh.task
+
+    def test_torn_per_step_layout_entry_heals(self, tmp_path, pinwheel):
+        with diskstore.store_at(str(tmp_path / "store")):
+            path, _ = self._store_per_step_layout(pinwheel)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            with tracing() as rec:
+                healed = link_connected_form(pinwheel)
+            assert rec.counters.get("diskstore.transform.corrupt", 0) == 1
+        with diskstore.store_disabled():
+            fresh = link_connected_form(pinwheel)
+        assert healed.n_splits == fresh.n_splits == 9
+        assert healed.task == fresh.task

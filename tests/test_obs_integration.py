@@ -109,6 +109,16 @@ class TestTracedDecide:
         built = recorder.counters["split.complexes_built"]
         assert built == sum(r.attrs["complexes_built"] for r in facets) > 0
 
+    def test_cold_majority_split_builds_few_complexes(self):
+        # a timing-free guard on the incremental split: only the images
+        # containing the split vertex are rebuilt (a full rebuild per step
+        # built 5,334 complexes here)
+        with diskstore.store_disabled():
+            verdict, recorder = _traced_decide(majority_consensus_task())
+        assert verdict.stats["n_splits"] == 42
+        assert recorder.counters["split.complexes_built"] <= 1_000
+        assert len([r for r in recorder.walk() if r.name == "split.task_build"]) == 1
+
     def test_stats_backfill_matches_untraced_run(self):
         traced, _ = _traced_decide(hourglass_task())
         untraced = decide_solvability(hourglass_task(), max_rounds=2)

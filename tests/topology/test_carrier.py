@@ -4,7 +4,7 @@ import pytest
 
 from repro.topology.carrier import CarrierMap, CarrierMapError
 from repro.topology.chromatic import ChromaticComplex
-from repro.topology.complexes import SimplicialComplex
+from repro.topology.complexes import SimplicialComplex, complexes_built
 from repro.topology.simplex import Simplex, chrom
 
 
@@ -38,6 +38,18 @@ class TestConstruction:
     def test_missing_images_default_empty(self, edge_domain, path_codomain):
         cm = CarrierMap(edge_domain, path_codomain, {}, check=False)
         assert not cm(Simplex(["x"]))
+
+    def test_missing_images_share_one_empty_complex(self, edge_domain, path_codomain):
+        before = complexes_built()
+        cm = CarrierMap(edge_domain, path_codomain, {}, check=False)
+        assert complexes_built() == before + 1
+        assert cm(Simplex(["x"])) is cm(Simplex(["y"])) is cm(Simplex(["x", "y"]))
+
+    def test_complete_images_build_no_empty_complex(self, simple_map):
+        images = {s: img for s, img in simple_map.items()}
+        before = complexes_built()
+        CarrierMap(simple_map.domain, simple_map.codomain, images, check=False)
+        assert complexes_built() == before
 
     def test_domain_membership_checked(self, edge_domain, path_codomain):
         with pytest.raises(CarrierMapError):
