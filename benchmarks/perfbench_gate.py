@@ -12,6 +12,13 @@ parent by more than that metric's declared ``bound``, in its ``better``
 direction.  It also fails if any run is not ``correct`` (an unreadable
 line counts as such), or if the change's ``failed / attempted`` share is
 larger than the parent's.  Its only thresholds are the declared bounds.
+
+A directory may also hold ``<workload>.diag.jsonl``: the diagnostics line
+``run.py`` prints just before the result, one per run.  When it does, the
+``latency_tail_ms`` line also names each side's tail percentiles, median
+sample count and median raw (unnormalised) rate, because the tail is a
+different percentile depending on how many samples a run collected.  This
+is reporting only: diagnostics never change a verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ import json
 import os
 import statistics
 import sys
-from typing import Any, Dict, List, Tuple
+from collections import Counter
+from typing import Any, Dict, List, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -43,8 +51,34 @@ def load_runs(path: str) -> List[Dict[str, Any]]:
     return runs
 
 
-def compare(declared: Dict[str, Any], parent: Runs, change: Runs) -> Tuple[bool, List[str]]:
-    """``(passed, report lines)`` for runs keyed by workload on each side."""
+def load_diags(path: str) -> List[Dict[str, Any]]:
+    """One diagnostics object per line; unreadable lines are skipped."""
+    return [run for run in load_runs(path) if run is not UNREADABLE]
+
+
+def tail_note(diags: List[Dict[str, Any]]) -> str:
+    """Tail percentiles, median tail sample count and median raw rate of some runs."""
+    try:
+        ladder = Counter(f"p{d['tail_percentile']:g}" for d in diags)
+        samples = statistics.median(d["tail_samples"] for d in diags)
+        raw = statistics.median(d["raw"]["throughput_per_s"] for d in diags)
+    except (KeyError, TypeError, ValueError, statistics.StatisticsError):
+        return "no diagnostics"
+    rungs = ", ".join(f"{rung} x{n}" for rung, n in sorted(ladder.items()))
+    return f"{rungs}; {samples:g} samples; raw {raw:.4g}/s"
+
+
+def compare(
+    declared: Dict[str, Any],
+    parent: Runs,
+    change: Runs,
+    diags: Optional[Dict[str, Runs]] = None,
+) -> Tuple[bool, List[str]]:
+    """``(passed, report lines)`` for runs keyed by workload on each side.
+
+    ``diags`` (``{"parent": runs, "change": runs}`` of diagnostics lines)
+    only annotates the ``latency_tail_ms`` line.
+    """
     failures, lines = 0, []
     for workload in (w["name"] for w in declared["workloads"]):
         sides = {"parent": parent.get(workload, []), "change": change.get(workload, [])}
@@ -73,10 +107,16 @@ def compare(declared: Dict[str, Any], parent: Runs, change: Runs) -> Tuple[bool,
             rel = (after - before) / before if before else 0.0
             worse = -rel if metric["better"] == "higher" else rel
             failures += worse > bound
-            lines.append(
+            line = (
                 f"{'FAIL' if worse > bound else 'ok':4} {workload} {name}: parent {before:.4g} "
                 f"change {after:.4g} ({rel:+.1%}; {metric['better']} is better, bound {bound:.0%})"
             )
+            if diags and name == "latency_tail_ms":
+                line += "".join(
+                    f" [{side}: {tail_note(diags[side].get(workload, []))}]"
+                    for side in sides
+                )
+            lines.append(line)
     return failures == 0, lines
 
 
@@ -90,7 +130,14 @@ def main(argv: List[str]) -> int:
         {w["name"]: load_runs(os.path.join(d, f"{w['name']}.jsonl")) for w in declared["workloads"]}
         for d in argv
     )
-    ok, lines = compare(declared, parent, change)
+    diags = {
+        side: {
+            w["name"]: load_diags(os.path.join(d, f"{w['name']}.diag.jsonl"))
+            for w in declared["workloads"]
+        }
+        for side, d in zip(("parent", "change"), argv)
+    }
+    ok, lines = compare(declared, parent, change, diags)
     print("\n".join(lines))
     print(f"perfbench gate: {'PASS' if ok else 'FAIL'} (cpu_count {os.cpu_count()})")
     return 0 if ok else 1

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
+from ..topology import diskstore
 from ..topology.carrier import CarrierMap
 from ..topology.chromatic import ChromaticComplex
 from ..topology.complexes import SimplicialComplex
@@ -200,18 +201,12 @@ ISO_SEARCH_CAP = 20_000
 
 
 def task_text(task: Task) -> str:
-    """Exact canonical text of a task (same content as ``diskstore.task_key``).
+    """Exact canonical text of a task: :func:`repro.topology.diskstore.task_text`.
 
-    Facets are in canonical sorted order and vertex reprs deterministic, so
-    equal tasks produce equal texts in every process.
+    One text serves both the store keys (``diskstore.task_key`` hashes it)
+    and the ``exact:`` fallback of :func:`iso_canonical_text`.
     """
-    parts = [
-        "in:" + "\n".join(repr(f) for f in task.input_complex.facets),
-        "out:" + "\n".join(repr(f) for f in task.output_complex.facets),
-    ]
-    for s, image in sorted(task.delta.items(), key=lambda kv: kv[0].sort_key()):
-        parts.append(f"{s!r}=>" + ";".join(repr(f) for f in image.facets))
-    return "\n".join(parts)
+    return diskstore.task_text(task)
 
 
 def _facet_tuples(complex_: SimplicialComplex) -> List[Tuple[Tuple[int, Hashable], ...]]:
@@ -275,6 +270,14 @@ def iso_canonical_text(task: Task, cap: int = ISO_SEARCH_CAP) -> str:
     exceeds ``cap`` (adversarially symmetric outputs), the *exact* text is
     returned instead — dedup degrades to exact-duplicate detection, never
     to unsound merging.
+
+    Candidates are filtered row by row: the ``out:`` row for every
+    relabeling, then each Δ row only for the relabelings still tied for the
+    least text so far.  Every candidate's rows carry the same fixed
+    prefixes; the relabeled facet lists after them hold only digits,
+    parentheses, commas, spaces and semicolons, all of which sort above the
+    newline joining the rows.  So the least tuple of rows is exactly the
+    least full text.
     """
     out_facets = _facet_tuples(task.output_complex)
     sig = _refined_value_signatures(out_facets)
@@ -294,24 +297,13 @@ def iso_canonical_text(task: Task, cap: int = ISO_SEARCH_CAP) -> str:
     if n_assignments > cap:
         return "exact:" + task_text(task)
 
-    delta_rows = [
-        (repr(s), _facet_tuples(image))
-        for s, image in sorted(task.delta.items(), key=lambda kv: kv[0].sort_key())
-    ]
-    input_text = ";".join(repr(f) for f in task.input_complex.facets)
+    def relabel(
+        mapping: Dict[Tuple[int, Hashable], int],
+        facets: List[Tuple[Tuple[int, Hashable], ...]],
+    ) -> str:
+        rows = sorted(tuple(sorted((c, mapping[(c, v)]) for c, v in f)) for f in facets)
+        return ";".join(repr(r) for r in rows)
 
-    def render(mapping: Dict[Tuple[int, Hashable], int]) -> str:
-        def relabel(facets: List[Tuple[Tuple[int, Hashable], ...]]) -> str:
-            rows = sorted(
-                tuple(sorted((c, mapping[(c, v)]) for c, v in f)) for f in facets
-            )
-            return ";".join(repr(r) for r in rows)
-
-        body = [f"in:{input_text}", "out:" + relabel(out_facets)]
-        body.extend(f"{key}=>" + relabel(img) for key, img in delta_rows)
-        return "\n".join(body)
-
-    best: Optional[str] = None
     per_color_orders = [
         [
             list(itertools.chain.from_iterable(combo))
@@ -322,16 +314,30 @@ def iso_canonical_text(task: Task, cap: int = ISO_SEARCH_CAP) -> str:
         for _, tiers in sorted(groups.items())
     ]
     colors = sorted(groups)
+    # the out: row, streamed over every relabeling: keep only the least
+    best_out: Optional[str] = None
+    tied: List[Dict[Tuple[int, Hashable], int]] = []
     for orders in itertools.product(*per_color_orders):
         mapping = {
             (color, value): i
             for color, order in zip(colors, orders)
             for i, value in enumerate(order)
         }
-        text = render(mapping)
-        if best is None or text < best:
-            best = text
-    return "iso:" + (best if best is not None else f"in:{input_text}\nout:")
+        text = relabel(mapping, out_facets)
+        if best_out is None or text < best_out:
+            best_out, tied = text, [mapping]
+        elif text == best_out:
+            tied.append(mapping)
+
+    rows = [f"in:{';'.join(repr(f) for f in task.input_complex.facets)}", f"out:{best_out}"]
+    for s, image in sorted(task.delta.items(), key=lambda kv: kv[0].sort_key()):
+        facets = _facet_tuples(image)
+        texts = [relabel(mapping, facets) for mapping in tied]
+        least = min(texts)
+        if len(tied) > 1:
+            tied = [m for m, text in zip(tied, texts) if text == least]
+        rows.append(f"{s!r}=>{least}")
+    return "iso:" + "\n".join(rows)
 
 
 def canonicalize_if_needed(task: Task) -> CanonicalForm:

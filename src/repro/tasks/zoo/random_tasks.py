@@ -7,12 +7,19 @@ output complex over small value ranges, pick random facet images for each
 input facet, then close downward (``Δ(τ)`` = faces of the chosen facets
 restricted to ``τ``'s ids, intersected over all containing facets to force
 monotonicity), retrying until the result validates as a task.
+
+Every such ``Δ(τ)`` is already face-closed: the simplices of a closed set
+whose colors lie in ``ids(τ)`` form a closed set again, and so does an
+intersection of closed sets.  The generators therefore work on simplex
+sets and build each image once with
+:meth:`~repro.topology.complexes.SimplicialComplex.from_closed`, never
+re-closing faces they already have.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from ...topology.carrier import CarrierMap
 from ...topology.chromatic import ChromaticComplex
@@ -22,10 +29,21 @@ from ..task import Task, TaskError
 from .builders import single_facet_input
 
 
-def _faces_with_ids(complex_: SimplicialComplex, ids: frozenset) -> SimplicialComplex:
-    """The subcomplex of simplices whose color set is exactly ``ids``, closed."""
-    picked = [s for s in complex_.simplices() if s.colors() == ids]
-    return SimplicialComplex(picked)
+def _below_ids(simplices: Iterable[Simplex], ids: FrozenSet[int]) -> FrozenSet[Simplex]:
+    """The members of a face-closed set whose colors lie in ``ids`` (closed again).
+
+    When every member is a face of a simplex with all of ``ids``'s colors,
+    this is the closure of the members whose color set is exactly ``ids``.
+    """
+    return frozenset(s for s in simplices if s.colors() <= ids)
+
+
+def _faces(facets: Iterable[Simplex]) -> FrozenSet[Simplex]:
+    """The face-closed set of all faces of ``facets``."""
+    out: set = set()
+    for f in facets:
+        out.update(f.faces())
+    return frozenset(out)
 
 
 #: facets requested by default when the value range allows it
@@ -42,6 +60,18 @@ def random_output_complex(
     facets than requested.  Only ``n_values ** 3`` distinct facets exist,
     so requests beyond that bound are rejected (the sampling loop could
     never satisfy them); the default request is capped to the bound.
+    """
+    return ChromaticComplex(_random_pool(rng, n_values, n_facets), name="O_random")
+
+
+def _random_pool(
+    rng: random.Random, n_values: int = 3, n_facets: Optional[int] = None
+) -> List[Simplex]:
+    """The facets :func:`random_output_complex` draws, in canonical order.
+
+    Distinct triangles are never faces of one another, so this list is
+    exactly the facet tuple of the complex they span: the generators sample
+    from it (as :func:`_sorted_facets` would) without building that complex.
     """
     if n_values < 1:
         raise ValueError(f"n_values must be at least 1, got {n_values}")
@@ -60,7 +90,7 @@ def random_output_complex(
     while len(facets) < n_facets:
         combo = tuple(rng.randrange(n_values) for _ in range(3))
         facets.add(Simplex(Vertex(i, v) for i, v in enumerate(combo)))
-    return ChromaticComplex(facets, name="O_random")
+    return sorted(facets, key=Simplex.sort_key)
 
 
 def _sorted_facets(complex_: SimplicialComplex) -> List[Simplex]:
@@ -86,14 +116,14 @@ def random_single_input_task(
     rng = random.Random(seed)
     inputs = single_facet_input(3, values=("x0", "x1", "x2"), name="I_random")
     for _ in range(200):
-        outputs = random_output_complex(rng, n_values=n_values, n_facets=n_facets)
-        pool = _sorted_facets(outputs)
+        pool = _random_pool(rng, n_values, n_facets)
         chosen = rng.sample(pool, min(image_size, len(pool)))
-        image = SimplicialComplex(chosen)
-        outputs = ChromaticComplex(image.facets, name="O_random")
-        images: Dict[Simplex, SimplicialComplex] = {}
-        for tau in inputs.simplices():
-            images[tau] = _faces_with_ids(image, tau.colors())
+        faces = _faces(chosen)
+        outputs = ChromaticComplex.from_closed(faces, name="O_random")
+        images = {
+            tau: SimplicialComplex.from_closed(_below_ids(faces, tau.colors()))
+            for tau in inputs.simplices()
+        }
         delta = CarrierMap(inputs, outputs, images, check=False)
         try:
             return Task(inputs, outputs, delta, name=f"random(seed={seed})")
@@ -112,7 +142,8 @@ def random_multi_facet_task(
     and lower-dimensional images are intersections of the incident facet
     images (restricted to matching ids), which forces monotonicity.
     Retries until the construction validates, so shared faces always admit
-    common outputs.  These tasks exercise the multi-facet paths of
+    common outputs.  The output complex is the reachable part only: the
+    union of the facet images.  These tasks exercise the multi-facet paths of
     canonicalization and splitting that single-facet generators miss.
     """
     from .builders import full_input_complex
@@ -120,30 +151,26 @@ def random_multi_facet_task(
     rng = random.Random(seed ^ 0xFACE7)
     inputs = full_input_complex(3, tuple(range(n_values)), name="I_multi")
     for _ in range(500):
-        outputs = random_output_complex(rng, n_values=3, n_facets=6)
+        pool = _random_pool(rng, n_values=3, n_facets=6)
         # a shared anchor facet keeps the images of neighboring input
         # facets compatible on their common faces (monotone + strict)
-        pool = _sorted_facets(outputs)
         anchor = rng.choice(pool)
-        facet_images: Dict[Simplex, List[Simplex]] = {}
+        facet_faces: Dict[Simplex, FrozenSet[Simplex]] = {}
         for sigma in inputs.facets:
             extra = rng.sample(pool, min(image_size - 1, len(pool)))
-            facet_images[sigma] = [anchor] + extra
+            facet_faces[sigma] = _faces([anchor] + extra)
         images: Dict[Simplex, SimplicialComplex] = {}
         for tau in inputs.simplices():
-            inter: Optional[SimplicialComplex] = None
-            for sigma in inputs.facets:
-                if not tau <= sigma:
-                    continue
-                proj = _faces_with_ids(
-                    SimplicialComplex(facet_images[sigma]), tau.colors()
-                )
-                inter = proj if inter is None else inter.intersection(proj)
-            images[tau] = inter if inter is not None else SimplicialComplex.empty()
+            incident = [faces for sigma, faces in facet_faces.items() if tau <= sigma]
+            inter = frozenset.intersection(*incident) if incident else frozenset()
+            images[tau] = SimplicialComplex.from_closed(_below_ids(inter, tau.colors()))
+        # only the facet images are reachable: they span the output complex
+        outputs = ChromaticComplex.from_closed(
+            frozenset().union(*facet_faces.values()), name="O_random"
+        )
         delta = CarrierMap(inputs, outputs, images, check=False)
         try:
-            task = Task(inputs, outputs, delta, name=f"random-multi(seed={seed})")
-            return task.restrict_to_reachable()
+            return Task(inputs, outputs, delta, name=f"random-multi(seed={seed})")
         except TaskError:
             continue
     raise RuntimeError(f"could not generate a multi-facet random task for seed {seed}")
@@ -170,20 +197,18 @@ def random_sparse_task(
         images: Dict[Simplex, SimplicialComplex] = {
             tau: base.delta(tau) for tau in inputs.simplices()
         }
+        kept: Dict[Simplex, FrozenSet[Simplex]] = {}
         for tau in inputs.simplices(dim=1):
             img_facets: List[Simplex] = _sorted_facets(images[tau])
             rng.shuffle(img_facets)
-            keep = img_facets[: max(1, len(img_facets) - drop_edges)]
-            images[tau] = SimplicialComplex(keep)
+            kept[tau] = _faces(img_facets[: max(1, len(img_facets) - drop_edges)])
+            images[tau] = SimplicialComplex.from_closed(kept[tau])
         # re-derive vertex images as intersections of incident edge images
         for x in inputs.simplices(dim=0):
-            inter: Optional[SimplicialComplex] = None
-            for e in inputs.simplices(dim=1):
-                if x <= e:
-                    proj = _faces_with_ids(images[e], x.colors())
-                    inter = proj if inter is None else inter.intersection(proj)
-            if inter is not None:
-                images[x] = inter
+            incident = [faces for e, faces in kept.items() if x <= e]
+            if incident:
+                inter = frozenset.intersection(*incident)
+                images[x] = SimplicialComplex.from_closed(_below_ids(inter, x.colors()))
         try:
             delta = CarrierMap(base.input_complex, base.output_complex, images, check=False)
             return Task(

@@ -30,6 +30,18 @@ class ChromaticComplex(SimplicialComplex):
 
     def __init__(self, simplices: Iterable, name: Optional[str] = None):
         super().__init__(simplices, name=name)
+        self._check_colors()
+
+    @classmethod
+    def from_closed(
+        cls, simplices: Iterable[Simplex], name: Optional[str] = None
+    ) -> "ChromaticComplex":
+        """:meth:`SimplicialComplex.from_closed`, with the same color validation."""
+        self = super().from_closed(simplices, name=name)
+        self._check_colors()
+        return self
+
+    def _check_colors(self) -> None:
         for f in self.facets:
             if not f.is_chromatic():
                 raise NotChromaticError(

@@ -17,7 +17,18 @@ tests use it to compute the uncached result).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
 from . import bitcore as _bitcore
 from .cache import memoized_method
@@ -42,16 +53,30 @@ def _restore_complex(cls, simplices, facets, vertices, dim, name):
     subdivision tower nearly as expensive as rebuilding it.  Memo caches
     stay process-local and start empty.
     """
+    return _filled(
+        cls, frozenset(simplices), tuple(facets), tuple(vertices), dim, name
+    )
+
+
+def _filled(cls, simplices, facets, vertices, dim, name):
+    """A new ``cls`` instance with its slots set directly, skipping ``__init__``.
+
+    The one slot-filling path for complexes whose structure is already
+    known: unpickled ones (:func:`_restore_complex`) and face-closed sets
+    (:meth:`SimplicialComplex.from_closed`).
+    """
     self = object.__new__(cls)
-    object.__setattr__(self, "_simplices", frozenset(simplices))
-    object.__setattr__(self, "_facets", tuple(facets))
-    object.__setattr__(self, "_vertices", tuple(vertices))
+    object.__setattr__(self, "_simplices", simplices)
+    object.__setattr__(self, "_facets", facets)
+    object.__setattr__(self, "_vertices", vertices)
     object.__setattr__(self, "_dim", dim)
     object.__setattr__(self, "name", name)
     object.__setattr__(self, "_hash", None)
     object.__setattr__(self, "_cache", None)
     return self
 
+
+_K = TypeVar("_K", bound="SimplicialComplex")
 
 #: slots that define a complex's identity; frozen once ``__init__`` sets them
 _STRUCTURAL_SLOTS = frozenset({"_simplices", "_facets", "_vertices", "_dim"})
@@ -61,7 +86,10 @@ _built = 0
 
 
 def complexes_built() -> int:
-    """How many complexes this process has constructed (unpickling excluded).
+    """How many complexes this process has constructed.
+
+    Only ``__init__`` counts: unpickled complexes and
+    :meth:`SimplicialComplex.from_closed` builds are excluded.
 
     A write-only tally: split tracing reports its growth across each
     LAP-elimination pass as the ``split.complexes_built`` counter.
@@ -176,6 +204,37 @@ class SimplicialComplex:
     def from_facets(cls, facets: Iterable, name: Optional[str] = None) -> "SimplicialComplex":
         """Alias of the constructor, for readability at call sites."""
         return cls(facets, name=name)
+
+    @classmethod
+    def from_closed(
+        cls: Type[_K], simplices: Iterable[Simplex], name: Optional[str] = None
+    ) -> _K:
+        """The complex whose simplices are exactly ``simplices``, without closing.
+
+        ``simplices`` must already be face-closed (every boundary face of a
+        member is a member); a set that is not raises :class:`ValueError`.
+        The result equals ``cls(simplices, name=name)`` slot for slot, but
+        costs one membership test per boundary face instead of a closure
+        pass, and it does not count towards :func:`complexes_built`.
+        """
+        closed = frozenset(simplices)
+        non_facets = set()
+        vertices = []
+        for s in closed:
+            if len(s.vertices) == 1:
+                vertices.extend(s.vertices)
+                continue
+            boundary = s.boundary()
+            for face in boundary:
+                if face not in closed:
+                    raise ValueError(
+                        f"not face-closed: {face!r}, a face of {s!r}, is missing"
+                    )
+            non_facets.update(boundary)
+        facets = tuple(sorted(closed.difference(non_facets), key=Simplex.sort_key))
+        vertices.sort(key=vertex_sort_key)
+        dim = max((f.dim for f in facets), default=-1)
+        return _filled(cls, closed, facets, tuple(vertices), dim, name)
 
     # -- basic protocol ------------------------------------------------------
 

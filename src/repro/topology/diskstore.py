@@ -170,15 +170,24 @@ def complex_key(k) -> str:
     return content_hash("\n".join(repr(f) for f in k.facets))
 
 
-def task_key(task) -> str:
-    """Content hash of a task: input/output facets plus the carrier map."""
+def task_text(task) -> str:
+    """Exact canonical text of a task: input/output facets plus the carrier map.
+
+    Facets are in canonical sorted order and vertex reprs deterministic, so
+    equal tasks produce equal texts in every process.
+    """
     parts = [
         "in:" + "\n".join(repr(f) for f in task.input_complex.facets),
         "out:" + "\n".join(repr(f) for f in task.output_complex.facets),
     ]
     for s, image in sorted(task.delta.items(), key=lambda kv: kv[0].sort_key()):
         parts.append(f"{s!r}=>" + ";".join(repr(f) for f in image.facets))
-    return content_hash("\n".join(parts))
+    return "\n".join(parts)
+
+
+def task_key(task) -> str:
+    """Content hash of a task: the hash of its :func:`task_text`."""
+    return content_hash(task_text(task))
 
 
 # ---------------------------------------------------------------------------
@@ -372,5 +381,6 @@ __all__ = [
     "store_disabled",
     "store_enabled",
     "task_key",
+    "task_text",
     "write_json_atomic",
 ]

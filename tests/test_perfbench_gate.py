@@ -133,3 +133,41 @@ def test_main_reads_directories_and_unreadable_lines(tmp_path, capsys):
         fh.write("crashed\n")  # what the CI loop writes for a run with no output
     assert gate.main(dirs) == 1
     assert "perfbench gate: FAIL" in capsys.readouterr().out
+
+
+def diag(percentile=99.0, samples=1998, raw=650.0):
+    """One diagnostics line, shaped like the one before the result line."""
+    return {"tail_percentile": percentile, "tail_samples": samples, "tail_beyond": 19,
+            "raw": {"throughput_per_s": raw}, "workload": "x"}
+
+
+def test_diagnostics_annotate_the_tail_line_without_changing_verdicts():
+    diags = {"parent": runs(diag(), diag(90.0, 900, 40.0), diag()),
+             "change": runs(diag(samples=2100, raw=700.0))}
+    slower = 1.0 + bound("latency_tail_ms") + 0.05
+    for change, expect in ((runs(result()), True), (runs(result(latency_tail_ms=slower)), False)):
+        bare = gate.compare(DECLARED, runs(result()), change)
+        ok, lines = gate.compare(DECLARED, runs(result()), change, diags)
+        assert ok is bare[0] is expect
+        assert len(lines) == len(bare[1])
+        tails = [line for line in lines if "latency_tail_ms" in line]
+        assert len(tails) == len(WORKLOADS)
+        for line in tails:
+            assert "[parent: p90 x1, p99 x2; 1998 samples; raw 650/s]" in line
+            assert "[change: p99 x1; 2100 samples; raw 700/s]" in line
+        others = [line for line in lines if "latency_tail_ms" not in line]
+        assert others == [line for line in bare[1] if "latency_tail_ms" not in line]
+
+
+def test_main_reads_diagnostics_files(tmp_path, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        for w in WORKLOADS:
+            (tmp_path / side / f"{w}.jsonl").write_text(json.dumps(result()) + "\n")
+    (tmp_path / "change" / f"{WORKLOADS[0]}.diag.jsonl").write_text(
+        json.dumps(diag()) + "\ncrashed\n"
+    )
+    assert gate.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 0
+    out = capsys.readouterr().out
+    assert f"{WORKLOADS[0]} latency_tail_ms" in out
+    assert "[parent: no diagnostics] [change: p99 x1; 1998 samples; raw 650/s]" in out

@@ -207,3 +207,72 @@ class TestChromaticAccessors:
     def test_is_chromatic(self, triangle_complex, disk):
         assert triangle_complex.is_chromatic()
         assert not disk.is_chromatic()
+
+
+def _random_closed_sets(seed, n):
+    """Face-closed simplex sets over mixed colorless and chromatic vertices."""
+    import random
+
+    from repro.topology.simplex import Vertex
+
+    rng = random.Random(seed)
+    pool = ["a", "b", "c", "d", 7, 8] + [Vertex(c, v) for c in range(3) for v in "xyz"]
+    for _ in range(n):
+        tops = [
+            Simplex(rng.sample(pool, rng.randint(1, 4))) for _ in range(rng.randint(0, 6))
+        ]
+        closed = SimplicialComplex(tops).simplices()
+        # drop a random up-set (a simplex and every coface of it): still closed
+        if closed and rng.random() < 0.5:
+            cut = rng.choice(closed)
+            closed = [s for s in closed if not cut <= s]
+        yield closed
+
+
+class TestFromClosed:
+    """``from_closed`` must build exactly what the closure constructor builds."""
+
+    def test_equals_the_closure_constructor_on_random_closed_sets(self):
+        for closed in _random_closed_sets(11, 300):
+            got = SimplicialComplex.from_closed(reversed(closed), name="K")
+            want = SimplicialComplex(closed, name="K")
+            assert got._simplices == want._simplices
+            assert got.facets == want.facets  # same canonical order
+            assert got.vertices == want.vertices
+            assert got.dim == want.dim
+            assert got == want and hash(got) == hash(want)
+            assert got.name == "K" and type(got) is SimplicialComplex
+            assert SimplicialComplex(got.facets) == got
+
+    def test_empty_set_is_the_empty_complex(self):
+        got = SimplicialComplex.from_closed(())
+        assert got == SimplicialComplex.empty()
+        assert (got.facets, got.vertices, got.dim) == ((), (), -1)
+
+    def test_a_set_that_is_not_face_closed_raises(self):
+        edge = Simplex(["a", "b"])
+        with pytest.raises(ValueError, match="not face-closed"):
+            SimplicialComplex.from_closed([edge, Simplex(["a"])])
+        with pytest.raises(ValueError, match="not face-closed"):
+            SimplicialComplex.from_closed([Simplex(["a", "b", "c"])] + list(edge.faces()))
+
+    def test_builds_are_not_counted_and_slots_stay_frozen(self):
+        from repro.topology.complexes import complexes_built
+
+        closed = SimplicialComplex([("a", "b", "c")]).simplices()
+        before = complexes_built()
+        k = SimplicialComplex.from_closed(closed)
+        assert complexes_built() == before
+        with pytest.raises(AttributeError, match="frozen"):
+            k._facets = ()
+
+    def test_chromatic_subclass_keeps_color_validation(self):
+        from repro.topology.chromatic import ChromaticComplex, NotChromaticError
+
+        closed = SimplicialComplex([chrom((0, "a"), (1, "b"), (2, "c"))]).simplices()
+        got = ChromaticComplex.from_closed(closed, name="O")
+        assert type(got) is ChromaticComplex and got.name == "O"
+        assert got.facets == ChromaticComplex(closed).facets
+        clash = SimplicialComplex([chrom((0, "a"), (0, "b"))]).simplices()
+        with pytest.raises(NotChromaticError):
+            ChromaticComplex.from_closed(clash)
