@@ -6,19 +6,52 @@ the decision procedure over a seeded population of random tasks and counts
 how often each certificate fires, how many splits the pipeline performs
 and how deep the witnesses sit — a quantitative picture of the
 characterization at work.
+
+Two persistent verdict-store paths feed it.  :func:`run_census` stores
+each whole :class:`SolvabilityVerdict` under the task's exact content key.
+:func:`decide_class` stores only a task's *outcome* (status, certificate
+kind, witness rounds, split count) under its isomorphism-class hash: the
+characterization depends only on the task's topology (LAPs,
+link-connectivity, the H1 obstruction), so the outcome is the same for
+every task that differs by a per-colour output-value renaming, and the
+streaming corpus (:mod:`repro.analysis.corpus`) decides each class once
+per store instead of once per shard.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs import annotate, counter_add, gauge_set, set_gauge_policy, span
 from ..solvability.decision import SolvabilityVerdict, Status, decide_solvability
 from ..tasks.task import Task
 from ..tasks.zoo.random_tasks import random_single_input_task, random_sparse_task
 from ..topology import diskstore
+
+#: what every task of an isomorphism class shares: status, certificate
+#: kind, witness rounds (``None`` unless solvable) and split count
+Outcome = Tuple[str, str, Optional[int], int]
+
+#: the record fields an :data:`Outcome` fills, in order
+OUTCOME_FIELDS = ("status", "certificate", "witness_rounds", "n_splits")
+
+
+def verdict_outcome(verdict: SolvabilityVerdict) -> Outcome:
+    """The census-relevant fields of a verdict."""
+    if verdict.status is Status.SOLVABLE:
+        certificate = "witness-map"
+    elif verdict.status is Status.UNSOLVABLE:
+        certificate = verdict.obstruction.kind
+    else:
+        certificate = "unknown"
+    return (
+        verdict.status.value,
+        certificate,
+        verdict.witness_rounds,
+        int(verdict.stats.get("n_splits", 0)),
+    )
 
 
 @dataclass
@@ -34,18 +67,25 @@ class Census:
     splits_histogram: Counter = field(default_factory=Counter)
 
     def add(self, verdict) -> None:
+        self.add_outcome(*verdict_outcome(verdict))
+
+    def add_outcome(
+        self,
+        status: str,
+        certificate: str,
+        witness_rounds: Optional[int],
+        n_splits: int,
+    ) -> None:
         self.population += 1
-        if verdict.status is Status.SOLVABLE:
+        if status == "solvable":
             self.solvable += 1
-            self.witness_depths[verdict.witness_rounds] += 1
-            self.certificates["witness-map"] += 1
-        elif verdict.status is Status.UNSOLVABLE:
+            self.witness_depths[witness_rounds] += 1
+        elif status == "unsolvable":
             self.unsolvable += 1
-            self.certificates[verdict.obstruction.kind] += 1
         else:
             self.unknown += 1
-            self.certificates["unknown"] += 1
-        self.splits_histogram[int(verdict.stats.get("n_splits", 0))] += 1
+        self.certificates[certificate] += 1
+        self.splits_histogram[n_splits] += 1
 
     def merge(self, other: "Census") -> "Census":
         """Fold another census into this one (in place); returns ``self``.
@@ -127,6 +167,47 @@ def _decide_with_store(task: Task, max_rounds: int) -> SolvabilityVerdict:
     if cache_key is not None:
         diskstore.store("verdict", cache_key, verdict)
     return verdict
+
+
+def _class_key(class_hash: str, max_rounds: int) -> str:
+    return diskstore.content_hash(f"class={class_hash}:rounds={max_rounds}")
+
+
+def _is_outcome(entry: object) -> bool:
+    return (
+        isinstance(entry, tuple)
+        and len(entry) == 4
+        and entry[0] in ("solvable", "unsolvable", "unknown")
+        and isinstance(entry[1], str)
+        and (entry[2] is None or isinstance(entry[2], int))
+        and isinstance(entry[3], int)
+    )
+
+
+def decide_class(task: Task, class_hash: str, max_rounds: int) -> Outcome:
+    """The outcome of ``task``'s isomorphism class, decided once per store.
+
+    ``class_hash`` is the task's renaming-canonical hash
+    (:func:`repro.analysis.corpus.canon_hash`).  The entry holds the bare
+    :data:`Outcome`, not a verdict: a loaded verdict would carry another
+    isomorph's ``.task``.  Anything else under the key (a pickled
+    verdict, say) reads as a miss and is overwritten.
+    ``census.class_store.hit`` / ``.miss`` count the lookups; pool
+    workers sharing a store race to decide a class first, so unlike
+    ``census.verdict_cache.*`` these counts depend on scheduling.
+    """
+    key = None
+    if diskstore.store_enabled():
+        key = _class_key(class_hash, max_rounds)
+        cached = diskstore.load("verdict", key)
+        if _is_outcome(cached):
+            counter_add("census.class_store.hit")
+            return cached
+        counter_add("census.class_store.miss")
+    outcome = verdict_outcome(decide_solvability(task, max_rounds=max_rounds))
+    if key is not None:
+        diskstore.store("verdict", key, outcome)
+    return outcome
 
 
 def run_census(

@@ -25,12 +25,16 @@ the same work twice and never losing work already done:
   manifests.
 
 Dedup scope is **per shard**: each shard is a deterministic serial stream,
-so the representative of every hash — and with it every aggregate — is
+so the representative of every hash — and with it every dedup flag — is
 independent of worker scheduling, pool size, and interruption points.
-Cross-shard duplicates still shortcut through the persistent verdict
-store (:func:`repro.analysis.census._decide_with_store`).  For a fixed
-shard partition, ``Census`` aggregates are bit-identical between serial,
-pooled, interrupted-and-resumed, and replayed runs.
+A representative's outcome comes from the persistent verdict store keyed
+by the same class hash (:func:`repro.analysis.census.decide_class`), so
+the other shards of a run, later runs on the same store and pool workers
+sharing a store directory load a class's outcome instead of deciding it
+again: a run decides each class once per store, not once per shard.
+For a fixed shard partition, records (runtime aside) and ``Census``
+aggregates are bit-identical between serial, pooled,
+interrupted-and-resumed, and replayed runs, cold store or warm.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from ..tasks.zoo.random_tasks import (
     random_sparse_task,
 )
 from ..topology import diskstore
-from .census import Census, _decide_with_store
+from .census import OUTCOME_FIELDS, Census, Outcome, decide_class
 
 #: manifest schema identifier (golden-verdict packages)
 SCHEMA = "repro-corpus/1"
@@ -173,22 +177,11 @@ def canon_hash(task: Task) -> str:
     return diskstore.content_hash(iso_canonical_text(task))
 
 
-def _record_from_verdict(seed, canon, verdict, runtime) -> Dict[str, Any]:
-    from ..solvability.decision import Status
-
-    if verdict.status is Status.SOLVABLE:
-        certificate = "witness-map"
-    elif verdict.status is Status.UNSOLVABLE:
-        certificate = verdict.obstruction.kind
-    else:
-        certificate = "unknown"
+def _record(seed: int, canon: str, outcome: Outcome, runtime: float) -> Dict[str, Any]:
     return {
         "seed": seed,
         "canon_hash": canon,
-        "status": verdict.status.value,
-        "certificate": certificate,
-        "witness_rounds": verdict.witness_rounds,
-        "n_splits": int(verdict.stats.get("n_splits", 0)),
+        **dict(zip(OUTCOME_FIELDS, outcome)),
         "runtime": runtime,
         "dedup": False,
     }
@@ -254,11 +247,12 @@ def run_shard(
     """Run (or resume) one shard; returns the shard's full record list.
 
     Each seed's task is generated, iso-hashed, deduplicated against the
-    shard's earlier hashes, decided only when new, and committed as one
-    JSONL line (flushed before the next seed starts — the line *is* the
-    checkpoint).  ``limit`` bounds how many further seeds this call
-    processes (used by tests to pause mid-shard); an exception at seed
-    ``s`` loses only ``s`` — every earlier line is already committed.
+    shard's earlier hashes, given its class's outcome from the class store
+    when new (decided there on a miss), and committed as one JSONL line
+    (flushed before the next seed starts — the line *is* the checkpoint).  ``limit`` bounds
+    how many further seeds this call processes (used by tests to pause
+    mid-shard); an exception at seed ``s`` loses only ``s`` — every
+    earlier line is already committed.
     """
     seed_start, seed_stop = config.shard_ranges()[shard]
     path = shard_path(root, shard)
@@ -293,10 +287,8 @@ def run_shard(
             else:
                 counter_add("corpus.dedup.miss")
                 t0 = time.perf_counter()
-                verdict = _decide_with_store(task, config.max_rounds)
-                record = _record_from_verdict(
-                    seed, canon, verdict, time.perf_counter() - t0
-                )
+                outcome = decide_class(task, canon, config.max_rounds)
+                record = _record(seed, canon, outcome, time.perf_counter() - t0)
                 seen[canon] = record
             counter_add("corpus.tasks")
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -443,17 +435,12 @@ def census_from_records(records: Iterable[Dict[str, Any]]) -> Census:
     """
     census = Census()
     for record in records:
-        census.population += 1
-        status = record["status"]
-        if status == "solvable":
-            census.solvable += 1
-            census.witness_depths[record["witness_rounds"]] += 1
-        elif status == "unsolvable":
-            census.unsolvable += 1
-        else:
-            census.unknown += 1
-        census.certificates[record["certificate"]] += 1
-        census.splits_histogram[int(record["n_splits"])] += 1
+        census.add_outcome(
+            record["status"],
+            record["certificate"],
+            record["witness_rounds"],
+            int(record["n_splits"]),
+        )
     return census
 
 
@@ -615,6 +602,8 @@ def verify_manifest(
     isomorphism class.  Any difference in canonical hash, status,
     certificate, witness depth or split count is drift: either the
     generator, the hashing, or the decision procedure changed behavior.
+    The replay runs with the disk store off, so entries written by older
+    code cannot answer for the procedure under test.
     """
     problems = validate_manifest(payload)
     if problems:
@@ -625,31 +614,24 @@ def verify_manifest(
     if limit is not None:
         rows = rows[:limit]
     drift: List[str] = []
-    seen: Dict[str, Tuple[str, str, Any, int]] = {}
-    for seed, canon, status, certificate, witness_rounds, n_splits in rows:
-        task = generator(seed)
-        got_hash = canon_hash(task)
-        if got_hash != canon:
-            drift.append(
-                f"seed {seed}: canonical hash {got_hash} != recorded {canon}"
-            )
-            continue
-        got = seen.get(canon)
-        if got is None:
-            verdict = _decide_with_store(task, config.max_rounds)
-            record = _record_from_verdict(seed, canon, verdict, 0.0)
-            got = (
-                record["status"],
-                record["certificate"],
-                record["witness_rounds"],
-                record["n_splits"],
-            )
-            seen[canon] = got
-        expected = (status, certificate, witness_rounds, n_splits)
-        if got != expected:
-            drift.append(
-                f"seed {seed}: verdict {got} != recorded {expected}"
-            )
+    seen: Dict[str, Outcome] = {}
+    with diskstore.store_disabled():
+        for seed, canon, status, certificate, witness_rounds, n_splits in rows:
+            task = generator(seed)
+            got_hash = canon_hash(task)
+            if got_hash != canon:
+                drift.append(
+                    f"seed {seed}: canonical hash {got_hash} != recorded {canon}"
+                )
+                continue
+            got = seen.get(canon)
+            if got is None:
+                got = seen[canon] = decide_class(task, canon, config.max_rounds)
+            expected = (status, certificate, witness_rounds, n_splits)
+            if got != expected:
+                drift.append(
+                    f"seed {seed}: verdict {got} != recorded {expected}"
+                )
     return drift
 
 

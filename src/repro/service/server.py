@@ -50,13 +50,12 @@ from .accesslog import AccessLog
 from .batch import BatchQueue, SubmitInfo
 from .cache import VerdictCache
 from .execution import resolve_task
-from .keys import canonical_dumps, content_hash
+from .keys import canonical_dumps, content_hash, json_hash
 from .protocol import (
     ProtocolError,
     SCHEMA,
     canonical_body,
     parse_request,
-    request_key,
 )
 from .workers import make_pool, run_request_batch
 
@@ -347,10 +346,10 @@ class SolvabilityServer:
             try:
                 req = parse_request(payload)
                 task = resolve_task(req.task)
-                key = request_key(req, task)
+                canonical = canonical_body(req, task)
             except ProtocolError as exc:
                 return 400, {"error": str(exc)}, access
-            canonical = canonical_body(req, task)
+            key = json_hash(canonical)
             self._keymap[spelling] = (key, canonical)
         self.recorder.add_counter(f"service.op.{canonical['op']}")
         # re-derive the id from the content key so the access log, the

@@ -232,16 +232,16 @@ class TestKillAndResume:
         import repro.analysis.corpus as corpus_mod
 
         root = str(tmp_path / "corpus")
-        real_decide = corpus_mod._decide_with_store
+        real_decide = corpus_mod.decide_class
         calls = {"n": 0}
 
-        def dying_decide(task, max_rounds):
+        def dying_decide(task, class_hash, max_rounds):
             calls["n"] += 1
             if calls["n"] > 7:
                 raise _KillSwitch("simulated crash mid-shard")
-            return real_decide(task, max_rounds)
+            return real_decide(task, class_hash, max_rounds)
 
-        monkeypatch.setattr(corpus_mod, "_decide_with_store", dying_decide)
+        monkeypatch.setattr(corpus_mod, "decide_class", dying_decide)
         with pytest.raises(_KillSwitch):
             run_corpus(CONFIG, root)
         # some shards hold committed prefixes; the run config is pinned
@@ -252,7 +252,7 @@ class TestKillAndResume:
         )
         assert 0 < committed < POP
 
-        monkeypatch.setattr(corpus_mod, "_decide_with_store", real_decide)
+        monkeypatch.setattr(corpus_mod, "decide_class", real_decide)
         result = run_corpus(CONFIG, root, resume=True)
         assert result.census.as_tuple() == serial_census.as_tuple()
         assert [r["seed"] for r in result.records] == list(range(POP))

@@ -62,6 +62,25 @@ def test_golden_prefix_replays_without_drift(golden):
     assert verify_manifest(golden, limit=60) == []
 
 
+def test_replay_is_not_answered_by_the_store():
+    # an entry written by other code under the key a replay would read
+    # must not stand in for the decision procedure under test
+    from repro.analysis.census import _class_key, decide_class
+    from repro.analysis.corpus import GENERATORS
+    from repro.topology import diskstore
+
+    golden = load_manifest(GOLDEN["single-500"])
+    rows = golden["verdicts"][:20]
+    poison = ("unsolvable", "poisoned", None, 99)
+    for _seed, canon, *_ in rows:
+        diskstore.store("verdict", _class_key(canon, 1), poison)
+    seed, canon = rows[0][:2]
+    task = GENERATORS["single"](seed)
+    assert decide_class(task, canon, 1) == poison  # the key is the live one
+    assert verify_manifest(golden, limit=20) == []
+    assert decide_class(task, canon, 1) == poison  # and the replay left it
+
+
 @pytest.mark.slow
 def test_golden_full_replay_single():
     assert verify_manifest(load_manifest(GOLDEN["single-500"])) == []

@@ -174,6 +174,25 @@ class TestSolve:
         assert by_json["cached"] is True
         assert by_json["verdict"] == by_name["verdict"]
 
+    def test_keymap_miss_builds_the_canonical_body_once(self, client, monkeypatch):
+        from repro.service import protocol, server as server_mod
+        from repro.service.execution import resolve_task
+
+        calls = []
+
+        def counted(req, task):
+            calls.append(req.op)
+            return protocol.canonical_body(req, task)
+
+        monkeypatch.setattr(server_mod, "canonical_body", counted)
+        payload = {"op": "decide", "task": "pinwheel", "params": {"max_rounds": 1}}
+        response = client.solve(payload)
+        assert calls == ["decide"]
+        req = protocol.parse_request(payload)
+        assert response["key"] == protocol.request_key(req, resolve_task(req.task))
+        client.solve(payload)  # a keymap hit builds nothing
+        assert calls == ["decide"]
+
     def test_expected_failure_is_an_ok_false_envelope_not_a_500(self, client):
         response = client.solve({"op": "synthesize", "task": "consensus"})
         assert response["ok"] is False

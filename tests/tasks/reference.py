@@ -7,7 +7,10 @@ Deliberately naive and independent of the fast paths they check:
   and validate against the full random output complex before shrinking
   it to the reachable part;
 * the isomorphism text renders every signature-respecting relabeling in
-  full and keeps the least.
+  full and keeps the least;
+* :func:`renamed` applies a random per-colour output-value bijection, the
+  transformation both the iso text and the decision procedure must not
+  see.
 
 ``test_reference_parity.py`` checks the library against these answer for
 answer.
@@ -32,7 +35,7 @@ from repro.tasks.zoo.random_tasks import random_output_complex
 from repro.topology.carrier import CarrierMap
 from repro.topology.chromatic import ChromaticComplex
 from repro.topology.complexes import SimplicialComplex
-from repro.topology.simplex import Simplex
+from repro.topology.simplex import Simplex, Vertex
 
 
 def _faces_with_ids(complex_: SimplicialComplex, ids: frozenset) -> SimplicialComplex:
@@ -211,3 +214,23 @@ def out_row_ties(task: Task) -> int:
     assert mappings is not None, "task is above the search cap"
     rows = [render(task, m)[1] for m in mappings]
     return rows.count(min(rows))
+
+
+def renamed(task: Task, rng: random.Random) -> Task:
+    """The same task with output values permuted per color at random."""
+    by_color: Dict[int, List[Hashable]] = {}
+    for v in task.output_complex.vertices:
+        by_color.setdefault(v.color, []).append(v.value)
+    maps = {}
+    for color, values in by_color.items():
+        shuffled = values[:]
+        rng.shuffle(shuffled)
+        maps[color] = dict(zip(values, shuffled))
+
+    def rename(k, cls=SimplicialComplex):
+        return cls(Simplex(Vertex(v.color, maps[v.color][v.value]) for v in f) for f in k.facets)
+
+    outputs = rename(task.output_complex, ChromaticComplex)
+    images = {tau: rename(img) for tau, img in task.delta.items()}
+    delta = CarrierMap(task.input_complex, outputs, images, check=False)
+    return Task(task.input_complex, outputs, delta, name=task.name)

@@ -74,30 +74,10 @@ def test_iso_text_matches_the_exhaustive_oracle_on_generated_tasks(name):
         assert iso_canonical_text(task) == reference.iso_canonical_text_exhaustive(task)
 
 
-def _renamed(task: Task, rng: random.Random) -> Task:
-    """The same task with output values permuted per color at random."""
-    by_color = {}
-    for v in task.output_complex.vertices:
-        by_color.setdefault(v.color, []).append(v.value)
-    maps = {}
-    for color, values in by_color.items():
-        shuffled = values[:]
-        rng.shuffle(shuffled)
-        maps[color] = dict(zip(values, shuffled))
-
-    def rename(k, cls=SimplicialComplex):
-        return cls(Simplex(Vertex(v.color, maps[v.color][v.value]) for v in f) for f in k.facets)
-
-    outputs = rename(task.output_complex, ChromaticComplex)
-    images = {tau: rename(img) for tau, img in task.delta.items()}
-    delta = CarrierMap(task.input_complex, outputs, images, check=False)
-    return Task(task.input_complex, outputs, delta, name=task.name)
-
-
 def test_iso_text_matches_the_oracle_on_renamed_tasks():
     rng = random.Random(7)
     for seed in range(30):
-        task = _renamed(random_single_input_task(seed), rng)
+        task = reference.renamed(random_single_input_task(seed), rng)
         text = iso_canonical_text(task)
         assert text == reference.iso_canonical_text_exhaustive(task)
         assert text == iso_canonical_text(random_single_input_task(seed))
@@ -117,7 +97,7 @@ def test_ties_that_survive_the_out_row_resolve_as_the_oracle_does(name):
     assert 1 < ties
     want = reference.iso_canonical_text_exhaustive(task)
     assert iso_canonical_text(task) == want
-    assert iso_canonical_text(_renamed(task, random.Random(ties))) == want
+    assert iso_canonical_text(reference.renamed(task, random.Random(ties))) == want
 
 
 def test_some_ties_break_only_after_the_out_row():
