@@ -195,6 +195,11 @@ def decide_class(task: Task, class_hash: str, max_rounds: int) -> Outcome:
     ``census.class_store.hit`` / ``.miss`` count the lookups; pool
     workers sharing a store race to decide a class first, so unlike
     ``census.verdict_cache.*`` these counts depend on scheduling.
+
+    The decide runs with the store off.  The class entry is the only one
+    a corpus reads back: isomorphs load it, and exact duplicates never
+    leave their shard.  So the ``transform`` entry the decide would write
+    is never read.
     """
     key = None
     if diskstore.store_enabled():
@@ -204,7 +209,9 @@ def decide_class(task: Task, class_hash: str, max_rounds: int) -> Outcome:
             counter_add("census.class_store.hit")
             return cached
         counter_add("census.class_store.miss")
-    outcome = verdict_outcome(decide_solvability(task, max_rounds=max_rounds))
+    with diskstore.store_disabled():
+        verdict = decide_solvability(task, max_rounds=max_rounds)
+    outcome = verdict_outcome(verdict)
     if key is not None:
         diskstore.store("verdict", key, outcome)
     return outcome

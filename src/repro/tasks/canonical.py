@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 from ..topology import diskstore
 from ..topology.carrier import CarrierMap
@@ -209,51 +209,78 @@ def task_text(task: Task) -> str:
     return diskstore.task_text(task)
 
 
-def _facet_tuples(complex_: SimplicialComplex) -> List[Tuple[Tuple[int, Hashable], ...]]:
-    """Facets as sorted ``(color, value)`` tuples (renaming-friendly form)."""
-    out = []
-    for f in complex_.facets:
-        out.append(
-            tuple(sorted(((v.color, v.value) for v in f.vertices), key=repr))
-        )
-    return out
+#: facets of a complex as tuples of dense output-vertex ints, colour order
+_Coded = List[Tuple[int, ...]]
 
 
-def _refined_value_signatures(
-    facets: List[Tuple[Tuple[int, Hashable], ...]]
-) -> Dict[Tuple[int, Hashable], int]:
-    """Renaming-invariant signature per ``(color, value)`` output vertex.
+def _coded(complex_: SimplicialComplex, index: Dict[Tuple[int, Hashable], int]) -> _Coded:
+    """The facets of ``complex_`` as tuples of vertex ints, keyed by ``(colour, value)``."""
+    return [
+        tuple([index[v.color, v.value] for v in f.sorted_vertices()])
+        for f in complex_.facets
+    ]
+
+
+def _refined_signatures(facets: _Coded, colour: List[int]) -> List[int]:
+    """Renaming-invariant signature per output vertex (``colour[i]`` is vertex ``i``'s).
 
     Weisfeiler–Leman-style refinement over the facet hypergraph: a vertex's
-    signature folds in the multiset of its facets' other-vertex signatures
-    until the partition stabilizes.  Signatures depend only on structure —
-    never on the values themselves — so any per-color value bijection maps
-    equal-signature values to equal-signature values.
+    signature folds in the multiset of its facets' other-vertex
+    ``(colour, signature)`` pairs until the partition stabilizes.
+    Signatures depend only on structure, never on the values, so any
+    per-colour value bijection maps equal-signature values to
+    equal-signature values.  Ranks follow the ``repr`` order of the folded
+    keys, as the committed ``canon_hash`` values were computed.
     """
-    vertices = sorted({cv for f in facets for cv in f}, key=repr)
-    incident: Dict[Tuple[int, Hashable], List[Tuple[Tuple[int, Hashable], ...]]] = {
-        cv: [f for f in facets if cv in f] for cv in vertices
-    }
-    sig = {cv: 0 for cv in vertices}
-    for _ in range(len(vertices)):
-        raw = {
-            cv: (
-                sig[cv],
+    n = len(colour)
+    incident: List[_Coded] = [[] for _ in range(n)]
+    for f in facets:
+        for v in f:
+            incident[v].append(f)
+    sig = [0] * n
+    for _ in range(n):
+        raw = [
+            (
+                sig[v],
                 tuple(
                     sorted(
-                        tuple(sorted((oc, sig[(oc, ov)]) for oc, ov in f if (oc, ov) != cv))
-                        for f in incident[cv]
+                        tuple(sorted((colour[u], sig[u]) for u in f if u != v))
+                        for f in incident[v]
                     )
                 ),
             )
-            for cv in vertices
-        }
-        ranks = {key: i for i, key in enumerate(sorted(set(raw.values()), key=repr))}
-        new_sig = {cv: ranks[raw[cv]] for cv in vertices}
+            for v in range(n)
+        ]
+        ranks = {key: i for i, key in enumerate(sorted(set(raw), key=repr))}
+        new_sig = [ranks[key] for key in raw]
         if new_sig == sig:
             break
         sig = new_sig
     return sig
+
+
+def _render(labels: Tuple[int, ...], colour: List[int], facets: _Coded) -> str:
+    """One row's facet list under a relabeling: sorted ``(colour, label)`` tuples."""
+    rows = sorted(tuple(sorted((colour[v], labels[v]) for v in f)) for f in facets)
+    return ";".join(repr(r) for r in rows)
+
+
+def _keyed(facets: _Coded, colour: List[int], one_digit: bool) -> bool:
+    """Whether a row's candidates may be compared by their label tuples.
+
+    They may when every facet has the same colour set, each colour once,
+    and every label is one digit.  Then each facet renders as the same
+    fixed-width text with only the label digits varying, in colour order,
+    so the text order of facets is the order of their label tuples, and
+    the text order of rows (equally many facets each) is the order of
+    their sorted label-tuple lists.
+    """
+    if not one_digit or not facets:
+        return one_digit
+    ids = [colour[v] for v in facets[0]]
+    if len(set(ids)) != len(ids):
+        return False
+    return all([colour[v] for v in f] == ids for f in facets)
 
 
 def iso_canonical_text(task: Task, cap: int = ISO_SEARCH_CAP) -> str:
@@ -271,72 +298,94 @@ def iso_canonical_text(task: Task, cap: int = ISO_SEARCH_CAP) -> str:
     returned instead — dedup degrades to exact-duplicate detection, never
     to unsound merging.
 
-    Candidates are filtered row by row: the ``out:`` row for every
-    relabeling, then each Δ row only for the relabelings still tied for the
-    least text so far.  Every candidate's rows carry the same fixed
-    prefixes; the relabeled facet lists after them hold only digits,
-    parentheses, commas, spaces and semicolons, all of which sort above the
-    newline joining the rows.  So the least tuple of rows is exactly the
-    least full text.
+    Output vertices are coded as dense ints once, colour by colour, and a
+    relabeling is a tuple of labels indexed by them.  Candidates are
+    filtered row by row: the ``out:`` row for every relabeling, then each
+    Δ row only for the relabelings still tied for the least row so far.
+    Every candidate's rows carry the same fixed prefixes; the relabeled
+    facet lists after them hold only digits, parentheses, commas, spaces
+    and semicolons, all of which sort above the newline joining the rows.
+    So the least tuple of rows is exactly the least full text.  A row
+    whose candidates :func:`_keyed` admits is compared by label tuples,
+    any other row by its rendered text; the text is rendered in full once,
+    for the winning relabeling.
     """
-    out_facets = _facet_tuples(task.output_complex)
-    sig = _refined_value_signatures(out_facets)
+    out = task.output_complex
+    by_colour: Dict[int, List[Vertex]] = {}
+    for v in out.vertices:
+        by_colour.setdefault(v.color, []).append(v)
+    index: Dict[Tuple[int, Hashable], int] = {}
+    colour: List[int] = []
+    members: List[range] = []  # each colour's vertex ints, a contiguous run
+    for c in sorted(by_colour):
+        first = len(colour)
+        for v in by_colour[c]:
+            index[c, v.value] = len(colour)
+            colour.append(c)
+        members.append(range(first, len(colour)))
+    out_facets = _coded(out, index)
+    sig = _refined_signatures(out_facets, colour)
 
-    # per color: tie groups of values with equal signatures, in signature order
-    by_color: Dict[int, Dict[int, List[Hashable]]] = {}
-    for (color, value), s in sig.items():
-        by_color.setdefault(color, {}).setdefault(s, []).append(value)
-    groups: Dict[int, List[List[Hashable]]] = {
-        color: [sorted(vals, key=repr) for _, vals in sorted(tiers.items())]
-        for color, tiers in sorted(by_color.items())
-    }
+    # per colour: tie groups of vertices with equal signatures, in
+    # signature order; a group's vertices share its block of labels
+    tiers_by_colour: List[List[List[int]]] = []
     n_assignments = 1
-    for tiers in groups.values():
-        for tier in tiers:
+    for vs in members:
+        tiers: Dict[int, List[int]] = {}
+        for v in vs:
+            tiers.setdefault(sig[v], []).append(v)
+        for tier in tiers.values():
             n_assignments *= math.factorial(len(tier))
+        tiers_by_colour.append([tiers[s] for s in sorted(tiers)])
     if n_assignments > cap:
         return "exact:" + task_text(task)
+    # each colour's relabelings, as label tuples over its run of vertex ints
+    per_colour: List[List[Tuple[int, ...]]] = []
+    for vs, tiers_ in zip(members, tiers_by_colour):
+        labelings = []
+        for combo in itertools.product(*(itertools.permutations(t) for t in tiers_)):
+            labels = [0] * len(vs)
+            for i, v in enumerate(itertools.chain.from_iterable(combo)):
+                labels[v - vs.start] = i
+            labelings.append(tuple(labels))
+        per_colour.append(labelings)
+    one_digit = all(len(vs) <= 10 for vs in by_colour.values())
 
-    def relabel(
-        mapping: Dict[Tuple[int, Hashable], int],
-        facets: List[Tuple[Tuple[int, Hashable], ...]],
-    ) -> str:
-        rows = sorted(tuple(sorted((c, mapping[(c, v)]) for c, v in f)) for f in facets)
-        return ";".join(repr(r) for r in rows)
+    def least(candidates: Iterable[Tuple[int, ...]], facets: _Coded) -> List[Tuple[int, ...]]:
+        """The candidates whose row over ``facets`` is least, streamed."""
+        keyed = _keyed(facets, colour, one_digit)
+        best = None
+        tied: List[Tuple[int, ...]] = []
+        for labels in candidates:
+            if keyed:
+                key = tuple(sorted([tuple(map(labels.__getitem__, f)) for f in facets]))
+            else:
+                key = _render(labels, colour, facets)
+            if best is None or key < best:
+                best, tied = key, [labels]
+            elif key == best:
+                tied.append(labels)
+        return tied
 
-    per_color_orders = [
-        [
-            list(itertools.chain.from_iterable(combo))
-            for combo in itertools.product(
-                *(itertools.permutations(tier) for tier in tiers)
-            )
-        ]
-        for _, tiers in sorted(groups.items())
+    # a relabeling of every colour at once: the runs concatenate
+    tied = least(
+        (tuple(itertools.chain.from_iterable(p)) for p in itertools.product(*per_colour)),
+        out_facets,
+    )
+    images = [
+        (s, _coded(image, index))
+        for s, image in sorted(task.delta.items(), key=lambda kv: kv[0].sort_key())
     ]
-    colors = sorted(groups)
-    # the out: row, streamed over every relabeling: keep only the least
-    best_out: Optional[str] = None
-    tied: List[Dict[Tuple[int, Hashable], int]] = []
-    for orders in itertools.product(*per_color_orders):
-        mapping = {
-            (color, value): i
-            for color, order in zip(colors, orders)
-            for i, value in enumerate(order)
-        }
-        text = relabel(mapping, out_facets)
-        if best_out is None or text < best_out:
-            best_out, tied = text, [mapping]
-        elif text == best_out:
-            tied.append(mapping)
-
-    rows = [f"in:{';'.join(repr(f) for f in task.input_complex.facets)}", f"out:{best_out}"]
-    for s, image in sorted(task.delta.items(), key=lambda kv: kv[0].sort_key()):
-        facets = _facet_tuples(image)
-        texts = [relabel(mapping, facets) for mapping in tied]
-        least = min(texts)
-        if len(tied) > 1:
-            tied = [m for m, text in zip(tied, texts) if text == least]
-        rows.append(f"{s!r}=>{least}")
+    for _, facets in images:
+        if len(tied) == 1:
+            break
+        tied = least(tied, facets)
+    labels = tied[0]
+    rows = [
+        f"in:{';'.join(repr(f) for f in task.input_complex.facets)}",
+        f"out:{_render(labels, colour, out_facets)}",
+    ]
+    rows.extend(f"{s!r}=>{_render(labels, colour, facets)}" for s, facets in images)
     return "iso:" + "\n".join(rows)
 
 

@@ -14,19 +14,26 @@ intersection of closed sets.  The generators therefore work on simplex
 sets and build each image once with
 :meth:`~repro.topology.complexes.SimplicialComplex.from_closed`, never
 re-closing faces they already have.
+
+What does not change between seeds is built once, at import: the input
+simplices (each with the input facets containing it) and the output
+triangles over the default value range.  A seed's faces are grouped by
+color set once, and each image is the union of the groups whose colors
+its simplex has.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ...topology.carrier import CarrierMap
 from ...topology.chromatic import ChromaticComplex
 from ...topology.complexes import SimplicialComplex
 from ...topology.simplex import Simplex, Vertex
 from ..task import Task, TaskError
-from .builders import single_facet_input
+from .builders import full_input_complex, single_facet_input
 
 
 def _below_ids(simplices: Iterable[Simplex], ids: FrozenSet[int]) -> FrozenSet[Simplex]:
@@ -44,6 +51,67 @@ def _faces(facets: Iterable[Simplex]) -> FrozenSet[Simplex]:
     for f in facets:
         out.update(f.faces())
     return frozenset(out)
+
+
+def _triangle(combo: Tuple[int, ...]) -> Simplex:
+    """The output triangle ``{(0,a),(1,b),(2,c)}`` of a value triple."""
+    return Simplex(Vertex(i, v) for i, v in enumerate(combo))
+
+
+#: value triple -> output triangle, over the value range every generator
+#: draws from by default.  Holding the triangles keeps them interned across
+#: seeds, and with them the faces, sort keys and color sets cached on them.
+_TRIANGLES: Dict[Tuple[int, ...], Simplex] = {
+    combo: _triangle(combo) for combo in itertools.product(range(3), repeat=3)
+}
+
+
+def _by_ids(faces: Iterable[Simplex]) -> Dict[FrozenSet[int], Set[Simplex]]:
+    """The members of ``faces`` grouped by color set."""
+    groups: Dict[FrozenSet[int], Set[Simplex]] = {}
+    for s in faces:
+        groups.setdefault(s.colors(), set()).add(s)
+    return groups
+
+
+def _below(groups: Dict[FrozenSet[int], Set[Simplex]], ids: FrozenSet[int]) -> FrozenSet[Simplex]:
+    """:func:`_below_ids` of a set grouped by :func:`_by_ids`, group by group."""
+    return frozenset().union(*(group for key, group in groups.items() if key <= ids))
+
+
+def _rigid(image: SimplicialComplex, tau: Simplex) -> bool:
+    """Whether ``image`` may be ``Δ(τ)``: nonempty and pure of ``τ``'s dimension.
+
+    An attempt with an image that fails this can only fail ``Task``
+    validation (strictness or rigidity), so the generators drop it before
+    building the rest; the draws for it are already made.
+    """
+    return bool(image) and image.dim == tau.dim and image.is_pure()
+
+
+def _incidence(inputs: SimplicialComplex) -> Tuple[Tuple[Simplex, Tuple[int, ...]], ...]:
+    """Each input simplex, in canonical order, with the indices of the facets containing it.
+
+    Built from the facets' faces rather than the memoized
+    ``inputs.simplices()``, so it leaves no query statistics behind.
+    """
+    simplices = {tau for sigma in inputs.facets for tau in sigma.faces()}
+    return tuple(
+        (tau, tuple(i for i, sigma in enumerate(inputs.facets) if tau <= sigma))
+        for tau in sorted(simplices, key=Simplex.sort_key)
+    )
+
+
+#: the input simplices of :func:`random_single_input_task` with their
+#: incidence.  Each task gets its own complex over them, so the query memo
+#: of a task's input complex starts empty, whatever ran before it.
+_SINGLE_INCIDENCE = _incidence(single_facet_input(3, values=("x0", "x1", "x2")))
+_SINGLE_INPUT = frozenset(tau for tau, _ in _SINGLE_INCIDENCE)
+
+#: the same for :func:`random_multi_facet_task`'s default binary input complex
+_MULTI_VALUES = 2
+_MULTI_INCIDENCE = _incidence(full_input_complex(3, tuple(range(_MULTI_VALUES))))
+_MULTI_INPUT = frozenset(tau for tau, _ in _MULTI_INCIDENCE)
 
 
 #: facets requested by default when the value range allows it
@@ -88,8 +156,9 @@ def _random_pool(
         )
     facets = set()
     while len(facets) < n_facets:
-        combo = tuple(rng.randrange(n_values) for _ in range(3))
-        facets.add(Simplex(Vertex(i, v) for i, v in enumerate(combo)))
+        combo = (rng.randrange(n_values), rng.randrange(n_values), rng.randrange(n_values))
+        triangle = _TRIANGLES.get(combo)
+        facets.add(triangle if triangle is not None else _triangle(combo))
     return sorted(facets, key=Simplex.sort_key)
 
 
@@ -114,15 +183,16 @@ def random_single_input_task(
     makes Δ monotone and rigid by construction.
     """
     rng = random.Random(seed)
-    inputs = single_facet_input(3, values=("x0", "x1", "x2"), name="I_random")
+    inputs = ChromaticComplex.from_closed(_SINGLE_INPUT, name="I_random")
     for _ in range(200):
         pool = _random_pool(rng, n_values, n_facets)
         chosen = rng.sample(pool, min(image_size, len(pool)))
         faces = _faces(chosen)
+        groups = _by_ids(faces)
         outputs = ChromaticComplex.from_closed(faces, name="O_random")
         images = {
-            tau: SimplicialComplex.from_closed(_below_ids(faces, tau.colors()))
-            for tau in inputs.simplices()
+            tau: SimplicialComplex.from_closed(_below(groups, tau.colors()))
+            for tau, _ in _SINGLE_INCIDENCE
         }
         delta = CarrierMap(inputs, outputs, images, check=False)
         try:
@@ -146,33 +216,42 @@ def random_multi_facet_task(
     union of the facet images.  These tasks exercise the multi-facet paths of
     canonicalization and splitting that single-facet generators miss.
     """
-    from .builders import full_input_complex
-
     rng = random.Random(seed ^ 0xFACE7)
-    inputs = full_input_complex(3, tuple(range(n_values)), name="I_multi")
+    if n_values == _MULTI_VALUES:
+        inputs = ChromaticComplex.from_closed(_MULTI_INPUT, name="I_multi")
+        incidence = _MULTI_INCIDENCE
+    else:
+        inputs = full_input_complex(3, tuple(range(n_values)), name="I_multi")
+        incidence = _incidence(inputs)
     for _ in range(500):
         pool = _random_pool(rng, n_values=3, n_facets=6)
         # a shared anchor facet keeps the images of neighboring input
         # facets compatible on their common faces (monotone + strict)
         anchor = rng.choice(pool)
-        facet_faces: Dict[Simplex, FrozenSet[Simplex]] = {}
-        for sigma in inputs.facets:
+        facet_faces: List[FrozenSet[Simplex]] = []
+        for _sigma in inputs.facets:
             extra = rng.sample(pool, min(image_size - 1, len(pool)))
-            facet_faces[sigma] = _faces([anchor] + extra)
+            facet_faces.append(_faces([anchor] + extra))
         images: Dict[Simplex, SimplicialComplex] = {}
-        for tau in inputs.simplices():
-            incident = [faces for sigma, faces in facet_faces.items() if tau <= sigma]
-            inter = frozenset.intersection(*incident) if incident else frozenset()
-            images[tau] = SimplicialComplex.from_closed(_below_ids(inter, tau.colors()))
-        # only the facet images are reachable: they span the output complex
-        outputs = ChromaticComplex.from_closed(
-            frozenset().union(*facet_faces.values()), name="O_random"
-        )
-        delta = CarrierMap(inputs, outputs, images, check=False)
-        try:
-            return Task(inputs, outputs, delta, name=f"random-multi(seed={seed})")
-        except TaskError:
-            continue
+        for tau, containing in incidence:
+            inter = frozenset.intersection(*(facet_faces[i] for i in containing))
+            if tau.dim < 2:
+                # a triangle's image keeps every face of its facets' images
+                inter = _below_ids(inter, tau.colors())
+            image = SimplicialComplex.from_closed(inter)
+            if not _rigid(image, tau):
+                break
+            images[tau] = image
+        else:
+            # only the facet images are reachable: they span the output complex
+            outputs = ChromaticComplex.from_closed(
+                frozenset().union(*facet_faces), name="O_random"
+            )
+            delta = CarrierMap(inputs, outputs, images, check=False)
+            try:
+                return Task(inputs, outputs, delta, name=f"random-multi(seed={seed})")
+            except TaskError:
+                continue
     raise RuntimeError(f"could not generate a multi-facet random task for seed {seed}")
 
 
@@ -205,18 +284,19 @@ def random_sparse_task(
             images[tau] = SimplicialComplex.from_closed(kept[tau])
         # re-derive vertex images as intersections of incident edge images
         for x in inputs.simplices(dim=0):
-            incident = [faces for e, faces in kept.items() if x <= e]
-            if incident:
-                inter = frozenset.intersection(*incident)
-                images[x] = SimplicialComplex.from_closed(_below_ids(inter, x.colors()))
-        try:
-            delta = CarrierMap(base.input_complex, base.output_complex, images, check=False)
-            return Task(
-                base.input_complex,
-                base.output_complex,
-                delta,
-                name=f"random-sparse(seed={seed})",
-            )
-        except TaskError:
-            continue
+            inter = frozenset.intersection(*(faces for e, faces in kept.items() if x <= e))
+            images[x] = SimplicialComplex.from_closed(_below_ids(inter, x.colors()))
+            if not _rigid(images[x], x):
+                break
+        else:
+            delta = CarrierMap(inputs, base.output_complex, images, check=False)
+            try:
+                return Task(
+                    inputs,
+                    base.output_complex,
+                    delta,
+                    name=f"random-sparse(seed={seed})",
+                )
+            except TaskError:
+                continue
     raise RuntimeError(f"could not generate a sparse random task for seed {seed}")

@@ -221,19 +221,19 @@ class SimplicialComplex:
         non_facets = set()
         vertices = []
         for s in closed:
-            if len(s.vertices) == 1:
+            size = len(s.vertices)
+            if size == 1:
                 vertices.extend(s.vertices)
                 continue
-            boundary = s.boundary()
-            for face in boundary:
-                if face not in closed:
-                    raise ValueError(
-                        f"not face-closed: {face!r}, a face of {s!r}, is missing"
-                    )
+            boundary = s.faces(size - 2)
+            if not closed.issuperset(boundary):
+                face = next(f for f in boundary if f not in closed)
+                raise ValueError(f"not face-closed: {face!r}, a face of {s!r}, is missing")
             non_facets.update(boundary)
         facets = tuple(sorted(closed.difference(non_facets), key=Simplex.sort_key))
         vertices.sort(key=vertex_sort_key)
-        dim = max((f.dim for f in facets), default=-1)
+        # sort keys lead with the dimension, so the last facet is a top one
+        dim = facets[-1].dim if facets else -1
         return _filled(cls, closed, facets, tuple(vertices), dim, name)
 
     # -- basic protocol ------------------------------------------------------

@@ -116,6 +116,20 @@ def test_a_run_decides_each_class_once(tmp_path, monkeypatch):
     assert _rows(warm) == _rows(cold)
 
 
+@pytest.mark.parametrize("generator", sorted(RUNS))
+def test_a_run_stores_only_class_entries(tmp_path, generator):
+    # no corpus lookup reads a transform entry: isomorphs load the class
+    # entry and exact duplicates never leave their shard
+    population, shards = RUNS[generator]
+    config = CorpusConfig(0, population, shards=shards, generator=generator)
+    store = tmp_path / "store"
+    with diskstore.store_at(str(store)):
+        result = run_corpus(config, str(tmp_path / "corpus"))
+    assert sorted(p.name for p in store.iterdir()) == ["verdict"]
+    entries = [p for p in (store / "verdict").rglob("*.pkl")]
+    assert len(entries) == dedup_stats(result.records)["distinct_hashes"]
+
+
 def test_store_hits_and_misses_are_counted(tmp_path):
     config = CorpusConfig(0, 60, shards=3)
     obs.reset_recorder()

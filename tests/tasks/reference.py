@@ -6,8 +6,9 @@ Deliberately naive and independent of the fast paths they check:
   constructor, re-closing picked faces and intersecting whole complexes,
   and validate against the full random output complex before shrinking
   it to the reachable part;
-* the isomorphism text renders every signature-respecting relabeling in
-  full and keeps the least;
+* the isomorphism text refines signatures over ``(color, value)`` pairs,
+  renders every signature-respecting relabeling in full and keeps the
+  least;
 * :func:`renamed` applies a random per-colour output-value bijection, the
   transformation both the iso text and the decision procedure must not
   see.
@@ -23,12 +24,7 @@ import math
 import random
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.tasks.canonical import (
-    ISO_SEARCH_CAP,
-    _facet_tuples,
-    _refined_value_signatures,
-    task_text,
-)
+from repro.tasks.canonical import ISO_SEARCH_CAP, task_text
 from repro.tasks.task import Task, TaskError
 from repro.tasks.zoo.builders import full_input_complex, single_facet_input
 from repro.tasks.zoo.random_tasks import random_output_complex
@@ -141,6 +137,53 @@ def random_sparse_task(
     raise RuntimeError(f"could not generate a sparse random task for seed {seed}")
 
 
+def _facet_tuples(complex_: SimplicialComplex) -> List[Tuple[Tuple[int, Hashable], ...]]:
+    """Facets as sorted ``(color, value)`` tuples (renaming-friendly form)."""
+    out = []
+    for f in complex_.facets:
+        out.append(
+            tuple(sorted(((v.color, v.value) for v in f.vertices), key=repr))
+        )
+    return out
+
+
+def _refined_value_signatures(
+    facets: List[Tuple[Tuple[int, Hashable], ...]]
+) -> Dict[Tuple[int, Hashable], int]:
+    """Renaming-invariant signature per ``(color, value)`` output vertex.
+
+    Weisfeiler–Leman-style refinement over the facet hypergraph: a vertex's
+    signature folds in the multiset of its facets' other-vertex signatures
+    until the partition stabilizes.  Signatures depend only on structure —
+    never on the values themselves — so any per-color value bijection maps
+    equal-signature values to equal-signature values.
+    """
+    vertices = sorted({cv for f in facets for cv in f}, key=repr)
+    incident: Dict[Tuple[int, Hashable], List[Tuple[Tuple[int, Hashable], ...]]] = {
+        cv: [f for f in facets if cv in f] for cv in vertices
+    }
+    sig = {cv: 0 for cv in vertices}
+    for _ in range(len(vertices)):
+        raw = {
+            cv: (
+                sig[cv],
+                tuple(
+                    sorted(
+                        tuple(sorted((oc, sig[(oc, ov)]) for oc, ov in f if (oc, ov) != cv))
+                        for f in incident[cv]
+                    )
+                ),
+            )
+            for cv in vertices
+        }
+        ranks = {key: i for i, key in enumerate(sorted(set(raw.values()), key=repr))}
+        new_sig = {cv: ranks[raw[cv]] for cv in vertices}
+        if new_sig == sig:
+            break
+        sig = new_sig
+    return sig
+
+
 def relabelings(
     task: Task, cap: int = ISO_SEARCH_CAP
 ) -> Optional[List[Dict[Tuple[int, Hashable], int]]]:
@@ -211,7 +254,8 @@ def iso_canonical_text_exhaustive(task: Task, cap: int = ISO_SEARCH_CAP) -> str:
 def out_row_ties(task: Task) -> int:
     """How many relabelings share the least ``out:`` row (ties left for Δ rows)."""
     mappings = relabelings(task)
-    assert mappings is not None, "task is above the search cap"
+    if mappings is None:
+        raise ValueError("task is above the search cap")
     rows = [render(task, m)[1] for m in mappings]
     return rows.count(min(rows))
 

@@ -106,19 +106,59 @@ def test_some_ties_break_only_after_the_out_row():
     assert 1 < reference.out_row_ties(task) < len(reference.relabelings(task))
 
 
-def _symmetric_task(n_values: int) -> Task:
-    """One input facet; every output triangle over ``range(n_values)``."""
+def _triangle(*values) -> Simplex:
+    return Simplex(Vertex(i, v) for i, v in enumerate(values))
+
+
+def _task_over(triangles, extra=()) -> Task:
+    """One input facet; Δ holds the faces of ``triangles``, ``extra`` is unreachable."""
     inputs = single_facet_input(3)
-    triangles = [
-        Simplex([Vertex(0, a), Vertex(1, b), Vertex(2, c)])
-        for a in range(n_values) for b in range(n_values) for c in range(n_values)
-    ]
-    outputs = ChromaticComplex(triangles)
+    image = SimplicialComplex(triangles)
+    outputs = ChromaticComplex(list(triangles) + list(extra))
     images = {
-        tau: SimplicialComplex(s for s in outputs.simplices() if s.colors() == tau.colors())
+        tau: SimplicialComplex(s for s in image.simplices() if s.colors() == tau.colors())
         for tau in inputs.simplices()
     }
     return Task(inputs, outputs, CarrierMap(inputs, outputs, images, check=False))
+
+
+def _symmetric_task(n_values: int) -> Task:
+    """One input facet; every output triangle over ``range(n_values)``."""
+    values = range(n_values)
+    return _task_over([_triangle(a, b, c) for a in values for b in values for c in values])
+
+
+def _assert_iso_text_is_the_oracles(task):
+    mappings = reference.relabelings(task)
+    assert mappings is not None and len(mappings) > 1
+    want = reference.iso_canonical_text_exhaustive(task)
+    assert iso_canonical_text(task) == want
+    for seed in range(3):
+        assert iso_canonical_text(reference.renamed(task, random.Random(seed))) == want
+
+
+def test_two_digit_labels_order_as_text():
+    # colour 2 has 11 values, and the tied pair w, w2 takes labels 9 and
+    # 10: as text "10" sorts before "9", as an int after it
+    triangles = [_triangle("A", "P", "w"), _triangle("B", "Q", "w2")]
+    triangles += [_triangle(f"E{j}", "F", f"x{k}") for k in range(9) for j in range(k + 1)]
+    task = _task_over(triangles)
+    assert len(task.output_complex.vertices_of_color(2)) == 11
+    assert {m[(2, "w")] for m in reference.relabelings(task)} == {9, 10}
+    _assert_iso_text_is_the_oracles(task)
+
+
+def test_a_non_pure_output_complex_orders_as_text():
+    # two triangles crossed by two edges, and an isolated vertex: the out:
+    # row mixes colour sets, so label tuples alone would misorder it
+    extra = [
+        Simplex([Vertex(0, 0), Vertex(2, 1)]),
+        Simplex([Vertex(0, 1), Vertex(2, 0)]),
+        Simplex([Vertex(2, 5)]),
+    ]
+    task = _task_over([_triangle(0, 0, 0), _triangle(1, 1, 1)], extra)
+    assert not task.output_complex.is_pure()
+    _assert_iso_text_is_the_oracles(task)
 
 
 def test_above_the_search_cap_both_fall_back_to_the_exact_text():
