@@ -5,7 +5,8 @@ Section 7 discussion: among random chromatic tasks, how often does each
 obstruction fire, and how deep do the solvability witnesses sit?
 """
 
-from repro.analysis import run_census, sparse_census
+from repro.analysis import run_census
+from repro.tasks.zoo.random_tasks import random_sparse_task
 
 
 def test_census_dense(benchmark, report):
@@ -22,7 +23,7 @@ def test_census_dense(benchmark, report):
 
 
 def test_census_sparse(benchmark, report):
-    census = benchmark(sparse_census, range(15))
+    census = benchmark(run_census, range(15), generator=random_sparse_task)
     report.row(
         family="sparse-random",
         population=census.population,

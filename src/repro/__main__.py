@@ -12,7 +12,9 @@ Commands
     Synthesize an executable protocol for a solvable task and validate it
     on the shared-memory simulator.
 ``census``
-    Decide a population of random tasks and print the certificate counts.
+    Decide a population of random tasks and print the certificate counts:
+    a corpus run, in a temporary directory unless ``--corpus DIR`` keeps
+    it (see ``docs/census_corpus.md``).
 ``conform``
     Run the conformance campaign: decide, synthesize and cross-check every
     SOLVABLE verdict against executions over the full schedule space
@@ -74,17 +76,12 @@ import argparse
 import contextlib
 import json
 import sys
+import tempfile
 from typing import Callable, Dict
 
 from . import obs
 
-from .analysis import (
-    analyze_task,
-    parallel_census,
-    parallel_sparse_census,
-    run_census,
-    sparse_census,
-)
+from .analysis import Census
 from .analysis import corpus as corpus_mod
 from .check.cli import add_check_parser
 from .check.preflight import PreflightError, preflight_check
@@ -583,16 +580,10 @@ def cmd_serve_soak(args) -> int:
 def cmd_census(args) -> int:
     if args.seeds < 0:
         raise SystemExit(f"--seeds must be non-negative, got {args.seeds}")
-    if args.chunksize is not None and args.chunksize < 1:
-        raise SystemExit(
-            f"--chunksize must be at least 1 (got {args.chunksize}); it is the "
-            "number of seeds dispatched per work item (omit the flag to derive "
-            "it from the population and worker count)"
-        )
     if args.workers is not None and args.workers < 1:
         raise SystemExit(
             f"--workers must be at least 1 (got {args.workers}); omit the flag "
-            "to use one process per CPU"
+            "to run serially"
         )
     if args.verify is not None:
         return _cmd_census_verify(args)
@@ -602,18 +593,17 @@ def cmd_census(args) -> int:
         raise SystemExit("--resume only makes sense with --corpus DIR")
     if args.shards != 1:
         raise SystemExit("--shards only makes sense with --corpus DIR")
+    # a corpus run in a throwaway directory, one shard per worker; an
+    # empty seed range is not a corpus, so it prints the empty census
+    config = None
+    if args.seeds:
+        config = _corpus_config(args, shards=min(args.workers or 1, args.seeds))
     with _tracing_to(args, f"census --seeds {args.seeds}"):
-        if args.workers is not None and args.workers != 1:
-            runner = parallel_sparse_census if args.sparse else parallel_census
-            census = runner(
-                range(args.seeds),
-                max_rounds=args.max_rounds,
-                workers=args.workers,
-                chunksize=args.chunksize,
-            )
+        if config is None:
+            census = Census()
         else:
-            runner = sparse_census if args.sparse else run_census
-            census = runner(range(args.seeds), max_rounds=args.max_rounds)
+            with tempfile.TemporaryDirectory() as root:
+                census = _run_corpus(config, root, args).census
     _print_census(census)
     return 0
 
@@ -628,12 +618,11 @@ def _print_census(census) -> None:
         print(f"  {kind:<16} {count}")
 
 
-def _cmd_census_corpus(args) -> int:
-    """Streaming corpus mode: sharded, resumable, manifest-packaged."""
+def _corpus_config(args, shards: int) -> corpus_mod.CorpusConfig:
     config = corpus_mod.CorpusConfig(
         seed_start=0,
         seed_stop=args.seeds,
-        shards=args.shards,
+        shards=shards,
         generator="sparse" if args.sparse else "single",
         max_rounds=args.max_rounds,
     )
@@ -641,13 +630,23 @@ def _cmd_census_corpus(args) -> int:
         config.validate()
     except corpus_mod.CorpusError as exc:
         raise SystemExit(str(exc))
+    return config
+
+
+def _run_corpus(config, root: str, args) -> corpus_mod.CorpusResult:
+    try:
+        return corpus_mod.run_corpus(
+            config, root, workers=args.workers, resume=args.resume
+        )
+    except corpus_mod.CorpusError as exc:
+        raise SystemExit(str(exc))
+
+
+def _cmd_census_corpus(args) -> int:
+    """Streaming corpus mode: sharded, resumable, manifest-packaged."""
+    config = _corpus_config(args, shards=args.shards)
     with _tracing_to(args, f"census --corpus {args.corpus} --seeds {args.seeds}"):
-        try:
-            result = corpus_mod.run_corpus(
-                config, args.corpus, workers=args.workers, resume=args.resume
-            )
-        except corpus_mod.CorpusError as exc:
-            raise SystemExit(str(exc))
+        result = _run_corpus(config, args.corpus, args)
     _print_census(result.census)
     dedup = result.manifest["dedup"]
     throughput = result.manifest["throughput"]
@@ -1247,15 +1246,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="process count for the parallel engine, at least 1 "
-        "(omit for one process per CPU; default serial)",
-    )
-    p.add_argument(
-        "--chunksize",
-        type=int,
-        default=None,
-        help="seeds per work item, at least 1 (default: adaptive — derived "
-        "from the population size and worker count)",
+        help="worker processes, at least 1 (omit to run serially); "
+        "without --corpus the seed range splits into one shard per worker",
     )
     p.add_argument(
         "--corpus",

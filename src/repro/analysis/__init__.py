@@ -1,6 +1,6 @@
-"""Analysis layer: per-task reports and population census (serial + parallel)."""
+"""Analysis layer: per-task reports, the population census and its corpus."""
 
-from .census import Census, run_census, sparse_census
+from .census import Census, run_census
 from .corpus import (
     CorpusConfig,
     CorpusError,
@@ -10,7 +10,6 @@ from .corpus import (
     validate_manifest,
     verify_manifest,
 )
-from .parallel import default_workers, parallel_census, parallel_sparse_census
 from .report import TaskReport, analyze_task
 
 __all__ = [
@@ -20,13 +19,9 @@ __all__ = [
     "CorpusResult",
     "TaskReport",
     "analyze_task",
-    "default_workers",
     "load_manifest",
-    "parallel_census",
-    "parallel_sparse_census",
     "run_census",
     "run_corpus",
-    "sparse_census",
     "validate_manifest",
     "verify_manifest",
 ]

@@ -1,8 +1,8 @@
 """Streaming census corpus: isomorphism dedup, resumable shards, manifests.
 
-The census used to decide a few hundred seeds per run from scratch.  This
-module scales it to ROADMAP item 4's 10^5–10^6 populations by never doing
-the same work twice and never losing work already done:
+Every ``census`` is a corpus run: the CLI runs one in a throwaway
+directory, or under ``--corpus DIR`` to keep it.  A corpus never does the
+same work twice and never loses work already done:
 
 * **isomorphism dedup** — every generated task is canonically hashed up to
   per-color output-value renaming (:func:`repro.tasks.canonical.
@@ -15,8 +15,8 @@ the same work twice and never losing work already done:
   shards, each an append-only JSONL file of verdict records under the
   corpus directory.  Every committed line is a checkpoint: an interrupted
   shard resumes from its last fully-written record (a torn tail line is
-  detected and truncated away), so a killed 10^6-seed run loses at most
-  one seed of work per shard;
+  detected and truncated away), so a killed run loses at most one seed
+  of work per shard;
 * **versioned manifests** — a completed run packages into a
   ``repro-corpus/1`` manifest (generator config, dedup stats, throughput,
   golden verdicts) that :func:`verify_manifest` replays seed-by-seed —
@@ -350,7 +350,8 @@ def run_corpus(
     completed shards are loaded, interrupted ones continue from their last
     committed seed.  With ``workers > 1`` incomplete shards are claimed by
     pool workers (scheduling cannot change any aggregate: shards are
-    deterministic serial streams and :meth:`Census.merge` is commutative).
+    deterministic serial streams, and the census is rebuilt from their
+    records in shard order).
     """
     config.validate()
     if workers is not None and workers < 1:

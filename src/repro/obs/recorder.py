@@ -37,7 +37,7 @@ counter is stored under the flat key ``name{k="v",...}``, so traces
 keep one ``{key: number}`` counter map.
 
 The span stack is deliberately per-process and single-threaded; the
-library's parallelism is process-based (``repro.analysis.parallel``,
+library's parallelism is process-based (``repro.analysis.corpus``,
 ``repro.runtime.conformance``), and worker processes get a fresh
 recorder via :func:`capture_worker`.
 """
@@ -185,25 +185,22 @@ _NULL_SPAN = _NullSpan()
 
 
 def _cache_raw() -> Dict[str, Tuple[int, int]]:
-    """Current-process memoization stats as ``{query: (hits, misses)}``."""
+    """Current-process lifetime memoization totals, ``{query: (hits, misses)}``."""
     # imported lazily: obs must stay importable below the topology layer
-    from ..topology.cache import cache_info
+    from ..topology.cache import cache_totals
 
-    return {
-        name: (int(stats["hits"]), int(stats["misses"]))
-        for name, stats in cache_info().items()
-    }
+    return cache_totals()
 
 
 def _cache_delta(
     baseline: Dict[str, Tuple[int, int]], now: Dict[str, Tuple[int, int]]
 ) -> Dict[str, Dict[str, Any]]:
-    """Per-query ``now - baseline``, clamped at zero (``cache_clear`` resets
-    the raw counters, which would otherwise produce negative deltas)."""
+    """Per-query ``now - baseline`` of lifetime totals (never negative:
+    ``cache_clear`` does not zero them)."""
     out: Dict[str, Dict[str, Any]] = {}
     for name, (hits, misses) in sorted(now.items()):
         h0, m0 = baseline.get(name, (0, 0))
-        dh, dm = max(hits - h0, 0), max(misses - m0, 0)
+        dh, dm = hits - h0, misses - m0
         if dh + dm:
             out[name] = {"hits": dh, "misses": dm, "hit_rate": dh / (dh + dm)}
     return out

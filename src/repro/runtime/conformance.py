@@ -16,13 +16,13 @@ for every task in a suite
        enumeration (:func:`~repro.runtime.scheduler.explore_schedules`);
     4. shrink any violating schedule to a minimal replayable witness.
 
-Campaigns fan out over a :mod:`multiprocessing` pool in the style of
-:mod:`repro.analysis.parallel`: workers receive task *names* (zoo entries
-or ``census-<seed>`` slices) and reconstruct the tasks locally, so only
-small, picklable :class:`TaskConformance` results cross process
-boundaries.  The aggregate :class:`ConformanceReport` serializes to JSON
-(``schema repro-conformance/1``) for CI gates and cross-PR diffing; the
-CLI front end is ``python -m repro conform``.
+Campaigns fan out over a :mod:`multiprocessing` pool: workers receive
+task *names* (zoo entries or ``census-<seed>`` slices) and reconstruct
+the tasks locally, so only small, picklable :class:`TaskConformance`
+results cross process boundaries.  The aggregate
+:class:`ConformanceReport` serializes to JSON (``schema
+repro-conformance/1``) for CI gates and cross-PR diffing; the CLI front
+end is ``python -m repro conform``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
@@ -453,7 +454,7 @@ def _conform_task(
 
 
 # ---------------------------------------------------------------------------
-# Campaign fan-out (multiprocessing, in the style of repro.analysis.parallel)
+# Campaign fan-out (multiprocessing)
 # ---------------------------------------------------------------------------
 
 CENSUS_PREFIX = "census-"
@@ -530,46 +531,34 @@ def run_campaign(
     names: Sequence[str],
     config: Optional[ConformanceConfig] = None,
     workers: Optional[int] = None,
-    chunksize: int = 1,
-    start_method: Optional[str] = None,
 ) -> ConformanceReport:
     """Conform a suite of named tasks, optionally over a worker pool.
 
-    Parameters mirror :func:`repro.analysis.parallel.parallel_census`:
     ``workers=None`` uses one process per CPU, ``workers == 1`` runs
     serially in-process (no pool), and per-task determinism guarantees the
     report is independent of scheduling (task order in the report is the
     input order of ``names``).
     """
-    from ..analysis.parallel import default_workers
-
     config = config or ConformanceConfig()
     names = list(names)
-    if chunksize < 1:
-        raise ValueError(f"chunksize must be at least 1, got {chunksize}")
     if workers is not None and workers < 1:
         raise ValueError(
             f"workers must be at least 1, got {workers} "
             "(pass None to use one process per CPU)"
         )
     t0 = time.perf_counter()
-    n_workers = default_workers() if workers is None else workers
+    n_workers = (os.cpu_count() or 1) if workers is None else workers
     n_workers = min(n_workers, max(len(names), 1))
     if n_workers <= 1 or len(names) <= 1:
         # serial: record straight into this process's recorder (trace=False)
         outcomes = [_conform_entry((name, config, False)) for name in names]
     else:
         jobs = [(name, config, tracing_enabled()) for name in names]
-        ctx = (
-            multiprocessing.get_context(start_method)
-            if start_method is not None
-            else multiprocessing.get_context()
-        )
-        with ctx.Pool(processes=n_workers) as pool:
+        with multiprocessing.get_context().Pool(processes=n_workers) as pool:
             # map (not imap_unordered) keeps report order == input order
             # even when names repeat; per-task determinism makes scheduling
             # invisible to the content
-            outcomes = pool.map(_conform_entry, jobs, chunksize)
+            outcomes = pool.map(_conform_entry, jobs, chunksize=1)
     results = []
     for result, snapshot in outcomes:
         results.append(result)

@@ -15,8 +15,10 @@ those queries use:
 * an **epoch counter** — :func:`cache_clear` invalidates every per-instance
   cache at once without keeping a registry of instances (each cache records
   the epoch it was built in and is discarded when stale);
-* **hit/miss statistics** per query, reported by :func:`cache_info` so the
-  traces and run records carry hit rates.
+* **hit/miss statistics** per query, reported by :func:`cache_info` (since
+  the last clear) and :func:`cache_totals` (since import, which
+  :func:`cache_clear` never zeroes) so the traces and run records carry
+  hit rates.
 
 The caches are correctness-neutral: a memoized query must return the same
 value the underlying computation would.  ``tests/topology/test_cache.py``
@@ -29,12 +31,14 @@ from __future__ import annotations
 
 import functools
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, TypeVar, cast
+from typing import Any, Callable, Dict, Iterator, List, Tuple, TypeVar, cast
 
 _enabled: bool = True
 _epoch: int = 0
 #: query name -> [hits, misses]
 _stats: Dict[str, List[int]] = {}
+#: query name -> [hits, misses] folded out of ``_stats`` by cache_clear
+_cleared: Dict[str, List[int]] = {}
 
 _EPOCH_KEY = "#epoch"
 
@@ -112,7 +116,10 @@ def cache_clear(reset_stats: bool = True) -> None:
     global _epoch
     _epoch += 1
     if reset_stats:
-        for pair in _stats.values():
+        for name, pair in _stats.items():
+            folded = _cleared.setdefault(name, [0, 0])
+            folded[0] += pair[0]
+            folded[1] += pair[1]
             pair[0] = pair[1] = 0
 
 
@@ -132,4 +139,18 @@ def cache_info() -> Dict[str, Dict[str, Any]]:
             "misses": misses,
             "hit_rate": hits / total,
         }
+    return out
+
+
+def cache_totals() -> Dict[str, Tuple[int, int]]:
+    """Lifetime ``(hits, misses)`` per memoized query.
+
+    Unlike :func:`cache_info`, :func:`cache_clear` never zeroes these, so
+    a delta between two reads counts exactly the lookups in between (the
+    :mod:`repro.obs` recorder attributes cache activity this way).
+    """
+    out: Dict[str, Tuple[int, int]] = {}
+    for name, (hits, misses) in _stats.items():
+        cleared = _cleared.get(name, [0, 0])
+        out[name] = (hits + cleared[0], misses + cleared[1])
     return out

@@ -202,7 +202,7 @@ def test_live_decide_reaches_obstruction_checks(live_graph):
 def test_live_census_store_path(live_graph):
     path = find_path(
         live_graph,
-        "repro.analysis.census._decide_with_store",
+        "repro.analysis.census.decide_class",
         "repro.topology.diskstore.load",
     )
     assert path is not None and len(path) == 2

@@ -367,16 +367,16 @@ def test_live_package_is_effect_clean():
 def test_live_entry_points_include_the_caching_layers():
     analysis = analyze_package()
     entries = analysis.entry_points
-    assert entries.get("repro.analysis.census._decide_with_store") == "persisted"
+    assert entries.get("repro.analysis.census.decide_class") == "persisted"
     assert entries.get("repro.topology.subdivision.SubdivisionTower.level") == "persisted"
     assert (
         entries.get("repro.topology.complexes.SimplicialComplex.is_link_connected")
         == "memoized"
     )
-    assert "repro.analysis.parallel._census_chunk" in analysis.worker_entries
+    assert "repro.analysis.corpus._shard_worker" in analysis.worker_entries
     assert "repro.runtime.conformance._conform_entry" in analysis.worker_entries
 
 
 def test_live_census_gauge_policy_is_declared():
     analysis = analyze_package()
-    assert "census.max_splits" in analysis.declared_policies
+    assert "corpus.tasks_per_second" in analysis.declared_policies

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.analysis import Census, TaskReport, analyze_task, run_census, sparse_census
+from repro.analysis import Census, TaskReport, analyze_task, run_census
 from repro.solvability import Status
 from repro.tasks.zoo import identity_task, path_task
+from repro.tasks.zoo.random_tasks import random_sparse_task
 
 
 class TestTaskReport:
@@ -49,13 +50,8 @@ class TestCensus:
         assert sum(census.certificates.values()) == 8
 
     def test_sparse_population(self):
-        census = sparse_census(range(5))
+        census = run_census(range(5), generator=random_sparse_task)
         assert census.population == 5
-
-    def test_rows(self):
-        census = run_census(range(3))
-        (row,) = census.rows()
-        assert row["population"] == 3
 
     def test_zoo_census_certificates(self, hourglass, pinwheel, identity3):
         from repro.solvability import decide_solvability

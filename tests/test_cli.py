@@ -8,10 +8,13 @@ subcommand below; ``tests/check/test_cli_check.py`` covers ``check``'s.
 """
 
 import json
+import os
 
 import pytest
 
-from repro.__main__ import ZOO, build_parser, main
+from repro.__main__ import ZOO, _print_census, build_parser, main
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "corpus", "golden")
 
 
 class TestList:
@@ -350,10 +353,6 @@ class TestCensus:
         with pytest.raises(SystemExit, match="--workers must be at least 1"):
             main(["census", "--seeds", "2", "--workers", "-4"])
 
-    def test_negative_chunksize_rejected(self):
-        with pytest.raises(SystemExit, match="--chunksize must be at least 1"):
-            main(["census", "--seeds", "2", "--chunksize", "-1"])
-
     def test_negative_seeds_rejected(self):
         with pytest.raises(SystemExit, match="--seeds must be non-negative"):
             main(["census", "--seeds", "-5"])
@@ -369,8 +368,6 @@ class TestCensus:
                 "4",
                 "--workers",
                 "2",
-                "--chunksize",
-                "2",
                 "--trace",
                 str(out),
             ]
@@ -378,8 +375,46 @@ class TestCensus:
         assert code == 0
         payload = json.loads(out.read_text())
         assert validate_trace(payload) == []
-        assert len(payload["workers"]) == 2  # one snapshot per chunk
-        assert payload["aggregate"]["counters"]["census.tasks"] == 4.0
+        assert len(payload["workers"]) == 2  # one snapshot per shard
+        assert payload["aggregate"]["counters"]["corpus.tasks"] == 4.0
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "golden, args",
+        [
+            ("manifest-single-500.json", ["--seeds", "500"]),
+            ("manifest-sparse-300.json", ["--seeds", "300", "--sparse"]),
+        ],
+    )
+    def test_counts_equal_the_goldens_and_leave_no_files(
+        self, golden, args, workers, tmp_path, monkeypatch, capsys
+    ):
+        # census runs a corpus in a throwaway directory: its counts are the
+        # committed manifest's, and nothing is left where it ran (not even
+        # under the default corpus root, .repro/corpus)
+        from repro.analysis.corpus import census_from_manifest, load_manifest
+
+        expected = census_from_manifest(
+            load_manifest(os.path.join(GOLDEN_DIR, golden))
+        )
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["census", *args, "--workers", workers]) == 0
+        out = capsys.readouterr().out
+        _print_census(expected)
+        assert out == capsys.readouterr().out
+        assert list(cwd.iterdir()) == []
+
+    def test_zero_seeds_prints_the_empty_census(self, capsys):
+        assert main(["census", "--seeds", "0"]) == 0
+        assert "population: 0" in capsys.readouterr().out
+
+    def test_shards_and_resume_still_require_corpus(self):
+        with pytest.raises(SystemExit, match="--shards only makes sense"):
+            main(["census", "--seeds", "4", "--shards", "2"])
+        with pytest.raises(SystemExit, match="--resume only makes sense"):
+            main(["census", "--seeds", "4", "--resume"])
 
 
 class TestObs:

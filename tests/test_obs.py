@@ -169,6 +169,30 @@ class TestCacheDelta:
         for stats in own.values():
             assert stats["hits"] >= 0 and stats["misses"] >= 0
 
+    def test_cache_clear_after_reset_still_counts_later_lookups(self):
+        # regression: cache_clear zeroed the counters the recorder had
+        # taken its baseline from, and the delta, clamped at zero, hid
+        # every lookup made after the clear
+        from repro.solvability import decide_solvability
+        from repro.tasks.zoo.random_tasks import random_single_input_task
+        from repro.topology import cache_info, diskstore
+
+        def decide():
+            with diskstore.store_disabled():
+                decide_solvability(random_single_input_task(2), max_rounds=1)
+
+        decide()  # the recorder's baseline now exceeds one decide's lookups
+        reset_recorder()
+        cache_clear()
+        decide()
+        expected = {
+            name: {"hits": s["hits"], "misses": s["misses"], "hit_rate": s["hit_rate"]}
+            for name, s in cache_info().items()
+        }
+        assert expected
+        assert get_recorder().own_cache() == expected
+        cache_clear()
+
     def test_merge_cache_maps_sums_and_recomputes_rate(self):
         merged = merge_cache_maps(
             {"q": {"hits": 1, "misses": 3, "hit_rate": 0.25}},

@@ -5,7 +5,7 @@ Two guarantees are pinned here:
 * a traced ``decide_solvability`` produces a schema-valid ``repro-trace/1``
   payload whose span tree covers the pipeline stages (transform,
   obstruction checks, witness search);
-* the parallel census reports the **same** aggregate counters and cache
+* a pooled corpus run reports the **same** aggregate counters and cache
   hit/miss totals as the serial run on the same workload — the
   cross-process merge that motivated the whole layer (worker counters
   used to vanish with the worker process).
@@ -14,7 +14,7 @@ Two guarantees are pinned here:
 import pytest
 
 from repro import obs
-from repro.analysis import parallel_census, run_census
+from repro.analysis import CorpusConfig, run_census, run_corpus
 from repro.solvability import Status, decide_solvability
 from repro.tasks.zoo import (
     hourglass_task,
@@ -126,17 +126,20 @@ class TestTracedDecide:
         assert set(traced.stats) == set(untraced.stats)
 
 
-def _census_aggregates(workers, store_dir):
-    """Run the same traced workload; returns (census, counters, cache, gauges).
+#: two shards, so ``workers=2`` really runs a pool
+CORPUS = CorpusConfig(0, 6, shards=2)
 
-    Each invocation gets its own persistent-store directory so every run
-    is equally cold — otherwise the first run would warm the disk store
-    and the second would report hit counters instead of miss/write ones.
+
+def _census_aggregates(workers, root):
+    """Run the same traced corpus; returns (census, counters, cache, gauges).
+
+    The store is off: with a shared store, which pool worker decides a
+    class first (and so which lookups miss) depends on scheduling.
     """
     obs.reset_recorder()
     cache_clear()
-    with diskstore.store_at(str(store_dir)), obs.tracing():
-        census = parallel_census(range(6), workers=workers, chunksize=2)
+    with diskstore.store_disabled(), obs.tracing():
+        census = run_corpus(CORPUS, str(root), workers=workers).census
     recorder = obs.get_recorder()
     return (
         census.as_tuple(),
@@ -159,7 +162,7 @@ class TestParallelAggregation:
         )
         assert parallel_census_t == serial_census
         assert parallel_counters == serial_counters
-        assert parallel_counters["census.tasks"] == 6.0
+        assert parallel_counters["corpus.tasks"] == 6.0
         # cache hit/miss totals agree query-by-query across process counts
         assert set(parallel_cache) == set(serial_cache)
         for query in serial_cache:
@@ -169,28 +172,28 @@ class TestParallelAggregation:
             )
 
     def test_workers_gauge_aggregates_match_serial(self, tmp_path):
-        # the census's max-splits gauge is seed-determined, so under the
-        # default "max" merge policy the aggregate must not depend on how
-        # the pool partitions the seeds — workers=1 and workers=N agree
+        # every shard sets its rate gauge; the pool's merge must keep the
+        # workers' gauges as the serial run keeps its own (the rate itself
+        # is a wall-clock figure, so only the names can be compared)
         *_, serial_gauges = _census_aggregates(1, tmp_path / "serial")
         *_, parallel_gauges = _census_aggregates(2, tmp_path / "parallel")
-        assert "census.max_splits" in serial_gauges
-        assert parallel_gauges == serial_gauges
+        assert "corpus.tasks_per_second" in serial_gauges
+        assert set(parallel_gauges) == set(serial_gauges)
 
-    def test_parallel_trace_carries_worker_snapshots(self):
+    def test_parallel_trace_carries_worker_snapshots(self, tmp_path):
         obs.reset_recorder()
         cache_clear()
         with obs.tracing():
-            parallel_census(range(6), workers=2, chunksize=2)
+            run_corpus(CORPUS, str(tmp_path / "corpus"), workers=2)
         payload = obs.build_trace(meta={"command": "census"})
         assert obs.validate_trace(payload) == []
-        assert len(payload["workers"]) == 3  # one snapshot per chunk
+        assert len(payload["workers"]) == 2  # one snapshot per shard
         for snap in payload["workers"]:
-            assert [s["name"] for s in snap["spans"]] == ["census"]
+            assert [s["name"] for s in snap["spans"]] == ["corpus.shard"]
 
-    def test_untraced_parallel_census_sends_no_snapshots(self):
+    def test_untraced_parallel_census_sends_no_snapshots(self, tmp_path):
         obs.reset_recorder()
-        merged = parallel_census(range(4), workers=2, chunksize=2)
-        serial = run_census(range(4))
+        merged = run_corpus(CORPUS, str(tmp_path / "corpus"), workers=2).census
+        serial = run_census(range(6))
         assert merged.as_tuple() == serial.as_tuple()
         assert obs.get_recorder().worker_snapshots == []

@@ -1,10 +1,12 @@
-"""The parallel census engine must be scheduling-invariant.
+"""A census is a corpus run, and must be scheduling-invariant.
 
 Every aggregate a census reports is a deterministic function of the seed
-set alone: worker counts, chunk sizes and completion order must all be
-invisible.  Populations here are small (each seed is a full decision-
-procedure run) but exercise every scheduling regime the engine has —
-serial fallback, chunksize > 1, one chunk total, and a real pool.
+set alone: the shard partition, the worker count and completion order
+must all be invisible, and the corpus must agree with the reference loop
+:func:`run_census`, which decides every seed with no dedup and no store.
+Populations here are small (each decided class is a full decision-
+procedure run) but exercise the serial path, more workers than shards,
+one seed per shard, and a real pool.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import os
 
 import pytest
 
-from repro.analysis import Census, parallel_census, run_census, sparse_census
-from repro.analysis.parallel import adaptive_chunksize, parallel_sparse_census
+from repro import obs
+from repro.analysis import Census, CorpusConfig, CorpusError, run_census, run_corpus
+from repro.analysis.corpus import GENERATORS
 from repro.tasks.zoo.random_tasks import random_sparse_task
+from repro.topology import diskstore
 
 SEEDS = range(10)
 
@@ -25,167 +29,99 @@ def serial() -> Census:
     return run_census(SEEDS)
 
 
-def test_same_seeds_same_aggregates(serial):
-    par = parallel_census(SEEDS, workers=2, chunksize=3)
+def _census(root, seeds=SEEDS, shards=1, workers=None, generator="single"):
+    config = CorpusConfig(seeds.start, seeds.stop, shards=shards, generator=generator)
+    return run_corpus(config, str(root), workers=workers)
+
+
+def test_same_seeds_same_aggregates(serial, tmp_path):
+    par = _census(tmp_path / "a", shards=3, workers=2).census
     assert par.as_tuple() == serial.as_tuple()
-    # and a second parallel run is reproducible against the first
-    again = parallel_census(SEEDS, workers=3, chunksize=2)
+    # and a second pooled run with another partition agrees with the first
+    again = _census(tmp_path / "b", shards=2, workers=3).census
     assert again.as_tuple() == par.as_tuple()
 
 
-def test_one_worker_degenerates_to_serial(serial):
-    assert parallel_census(SEEDS, workers=1).as_tuple() == serial.as_tuple()
+def test_one_worker_degenerates_to_serial(serial, tmp_path):
+    assert _census(tmp_path / "c", shards=2, workers=1).census.as_tuple() == serial.as_tuple()
 
 
-def test_chunksize_larger_than_population(serial):
-    par = parallel_census(SEEDS, workers=4, chunksize=len(SEEDS) + 50)
+def test_workers_larger_than_population(serial, tmp_path):
+    par = _census(tmp_path / "c", shards=len(SEEDS), workers=len(SEEDS) + 50).census
     assert par.as_tuple() == serial.as_tuple()
 
 
-def test_sparse_family_parity():
-    serial = sparse_census(range(6))
-    par = parallel_sparse_census(range(6), workers=2, chunksize=2)
-    assert par.as_tuple() == serial.as_tuple()
-    assert par.population == 6
-
-
-def test_invalid_chunksize_rejected():
-    with pytest.raises(ValueError):
-        parallel_census(SEEDS, workers=2, chunksize=0)
-
-
-def test_negative_chunksize_rejected():
-    with pytest.raises(ValueError, match="chunksize must be at least 1, got -3"):
-        parallel_census(SEEDS, workers=2, chunksize=-3)
+def test_sparse_family_parity(tmp_path):
+    serial = run_census(range(6), generator=random_sparse_task)
+    par = _census(tmp_path / "c", seeds=range(6), shards=2, workers=2, generator="sparse")
+    assert par.census.as_tuple() == serial.as_tuple()
+    assert par.census.population == 6
 
 
 @pytest.mark.parametrize("workers", [0, -1])
-def test_nonpositive_workers_rejected(workers):
-    # workers=0 used to silently mean "cpu count"; it is now an error
-    # (None is the documented spelling for the default)
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        parallel_census(SEEDS, workers=workers)
+def test_nonpositive_workers_rejected(workers, tmp_path):
+    with pytest.raises(CorpusError, match="workers must be at least 1"):
+        _census(tmp_path / "c", workers=workers)
 
 
-def test_validation_precedes_generation():
-    # bad knobs fail fast, before any task is generated or pool spawned
+def test_validation_precedes_generation(tmp_path, monkeypatch):
+    # bad knobs fail fast, before any task is generated, pool spawned or
+    # corpus directory made
     def exploding_generator(seed):  # pragma: no cover - must never run
         raise AssertionError("generator should not be invoked")
 
-    with pytest.raises(ValueError):
-        parallel_census(SEEDS, generator=exploding_generator, workers=0)
+    monkeypatch.setitem(GENERATORS, "single", exploding_generator)
+    with pytest.raises(CorpusError):
+        _census(tmp_path / "c", workers=0)
+    assert not os.path.exists(tmp_path / "c")
 
 
-def test_generator_parameter_is_respected():
-    par = parallel_census(range(4), generator=random_sparse_task, workers=2, chunksize=1)
-    assert par.as_tuple() == sparse_census(range(4)).as_tuple()
+def test_generator_parameter_is_respected(tmp_path):
+    par = _census(tmp_path / "c", seeds=range(4), shards=4, workers=2, generator="sparse")
+    assert par.census.as_tuple() == run_census(range(4), generator=random_sparse_task).as_tuple()
+    assert par.census.as_tuple() != run_census(range(4)).as_tuple()
 
 
-# -- Adaptive chunk sizing -----------------------------------------------------
-
-
-class TestAdaptiveChunksize:
-    def test_oversubscribed_uses_one_chunk_per_worker(self, monkeypatch):
-        # workers >= cpu_count: no idle CPU can steal extra chunks, so the
-        # population splits into exactly one contiguous chunk per worker
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert adaptive_chunksize(100, 4) == 25
-        assert adaptive_chunksize(101, 4) == 26  # ceil, never drops a seed
-        assert adaptive_chunksize(3, 8) == 1
-
-    def test_undersubscribed_splits_fair_share_in_four(self, monkeypatch):
-        # spare CPUs exist: each worker's fair share splits into ~4 chunks
-        # so dynamic dispatch can rebalance uneven decision costs
-        monkeypatch.setattr(os, "cpu_count", lambda: 16)
-        assert adaptive_chunksize(100, 4) == 7  # ceil(ceil(100/4) / 4)
-        assert adaptive_chunksize(8, 2) == 1  # floors at one seed per chunk
-
-    def test_rejects_empty_population(self):
-        with pytest.raises(ValueError, match="empty population"):
-            adaptive_chunksize(0, 2)
-
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_rejects_nonpositive_workers(self, workers):
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            adaptive_chunksize(10, workers)
-
-    def test_default_chunksize_is_adaptive_and_invisible(self, serial):
-        # chunksize=None derives the adaptive size; aggregates are still
-        # identical to the serial engine's
-        par = parallel_census(SEEDS, workers=2, chunksize=None)
-        assert par.as_tuple() == serial.as_tuple()
-
-
-# -- Verdict-cache observability ----------------------------------------------
+# -- Verdict-store observability ----------------------------------------------
 
 
 class TestVerdictCacheCounters:
-    """Warm-store cache hits bypass the decide spans entirely; the explicit
-    ``census.verdict_cache.*`` counters are what keeps traced throughput
-    honest — and they must be scheduling-invariant like every aggregate."""
+    """A class loaded from the store skips the decide spans entirely; the
+    ``census.class_store.*`` counters name the shortcut.  On a warm store
+    every lookup hits, so the counts are scheduling-invariant there."""
 
     @staticmethod
-    def _counters(run, tmp_path, name):
-        from repro import obs
-        from repro.topology import diskstore
-
-        with diskstore.store_at(str(tmp_path / name)):
-            run_census(SEEDS)  # warm the store un-traced
+    def _counters(tmp_path, name, workers):
+        with diskstore.store_at(str(tmp_path / "store")):
             obs.reset_recorder()
             with obs.tracing():
-                run()
+                result = _census(tmp_path / name, shards=2, workers=workers)
             counters = dict(obs.get_recorder().aggregate_counters())
-        return {k: v for k, v in counters.items() if k.startswith("census.verdict_cache")}
+        lookups = sum(not r["dedup"] for r in result.records)
+        return lookups, {k: v for k, v in counters.items() if k.startswith("census.class_store")}
 
     def test_workers_1_equals_workers_n_on_warm_store(self, tmp_path):
-        serial = self._counters(
-            lambda: parallel_census(SEEDS, workers=1), tmp_path, "serial"
-        )
-        pooled = self._counters(
-            lambda: parallel_census(SEEDS, workers=2, chunksize=3), tmp_path, "pooled"
-        )
+        with diskstore.store_at(str(tmp_path / "store")):
+            _census(tmp_path / "warmup")  # fill the store un-traced
+        lookups, serial = self._counters(tmp_path, "serial", workers=1)
+        _, pooled = self._counters(tmp_path, "pooled", workers=2)
         assert serial == pooled
-        assert serial["census.verdict_cache.hit"] == len(SEEDS)
-        assert "census.verdict_cache.miss" not in serial
+        assert serial["census.class_store.hit"] == lookups
+        assert "census.class_store.miss" not in serial
 
     def test_cold_store_counts_misses(self, tmp_path):
-        from repro import obs
-        from repro.topology import diskstore
-
         with diskstore.store_at(str(tmp_path / "cold")):
             obs.reset_recorder()
             with obs.tracing():
-                run_census(range(3))
+                result = _census(tmp_path / "c", seeds=range(3))
             counters = dict(obs.get_recorder().aggregate_counters())
-        assert counters["census.verdict_cache.miss"] == 3
-        assert "census.verdict_cache.hit" not in counters
+        assert counters["census.class_store.miss"] == sum(not r["dedup"] for r in result.records)
+        assert "census.class_store.hit" not in counters
 
-    def test_disabled_store_emits_neither(self):
-        from repro import obs
-        from repro.topology import diskstore
-
+    def test_disabled_store_emits_neither(self, tmp_path):
         with diskstore.store_disabled():
             obs.reset_recorder()
             with obs.tracing():
-                run_census(range(2))
+                _census(tmp_path / "c", seeds=range(2))
             counters = dict(obs.get_recorder().aggregate_counters())
-        assert not [k for k in counters if k.startswith("census.verdict_cache")]
-
-
-# -- Census aggregation primitives the engine relies on ------------------------
-
-
-def test_merge_is_commutative_and_associative():
-    a = run_census(range(0, 3))
-    b = run_census(range(3, 7))
-    c = run_census(range(7, 10))
-    left = Census().merge(a).merge(b).merge(c)
-    right = Census().merge(c).merge(a).merge(b)
-    assert left.as_tuple() == right.as_tuple() == run_census(SEEDS).as_tuple()
-
-
-def test_rows_reports_witness_depth_histogram(serial):
-    (row,) = serial.rows()
-    assert "witness_depths" in row
-    assert sum(row["witness_depths"].values()) == serial.solvable
-    assert row["population"] == serial.population
+        assert not [k for k in counters if k.startswith("census.class_store")]
