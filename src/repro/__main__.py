@@ -94,7 +94,6 @@ from .runtime.conformance import (
 from .service import execution as service_execution
 from .service.protocol import ProtocolError, ServiceRequest
 from .solvability import Status
-from .splitting import link_connected_form
 from .tasks.task import Task
 from .topology.dot import write_dot
 

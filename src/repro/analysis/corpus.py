@@ -10,7 +10,9 @@ same work twice and never loses work already done:
   *before* it is decided; a duplicate reuses its representative's verdict
   (solvability is invariant under chromatic isomorphism).  On the default
   generator the dedup rate exceeds 90% — the decision procedure runs on
-  the ~one-in-ten genuinely new tasks;
+  the ~one-in-ten genuinely new tasks.  Within a shard a cheap renaming
+  key answers most repeats before the relabeling search runs
+  (:func:`canon_hash`);
 * **resumable shards** — the seed range is partitioned into contiguous
   shards, each an append-only JSONL file of verdict records under the
   corpus directory.  Every committed line is a checkpoint: an interrupted
@@ -44,10 +46,10 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from ..obs import annotate, capture_worker, counter_add, gauge_set, merge_worker_snapshot, set_gauge_policy, span, tracing_enabled
-from ..tasks.canonical import iso_canonical_text
+from ..tasks.canonical import code_task, iso_canonical_text, renaming_key
 from ..tasks.task import Task
 from ..tasks.zoo.random_tasks import (
     random_multi_facet_task,
@@ -172,9 +174,30 @@ def shard_path(root: str, shard: int) -> str:
     return os.path.join(root, f"shard-{shard:04d}.jsonl")
 
 
-def canon_hash(task: Task) -> str:
-    """Content hash of the task's renaming-canonical description."""
-    return diskstore.content_hash(iso_canonical_text(task))
+def canon_hash(task: Task, memo: Optional[Dict[Hashable, str]] = None) -> str:
+    """Content hash of the task's renaming-canonical description.
+
+    With a ``memo`` (one shard's, see :func:`run_shard`) the task's
+    :func:`~repro.tasks.canonical.renaming_key` is looked up first, and the
+    relabeling search runs only when it misses.  Equal keys mean isomorphic
+    tasks, so a hit returns exactly what the search would.  An ``exact:``
+    text (above the search cap) is not renaming-invariant, so its hash is
+    never memoized.
+    """
+    if memo is None:
+        return diskstore.content_hash(iso_canonical_text(task))
+    coded = code_task(task)
+    key = renaming_key(task, coded)
+    canon = memo.get(key)
+    if canon is not None:
+        counter_add("corpus.renaming_key.hit")
+        return canon
+    counter_add("corpus.renaming_key.miss")
+    text = iso_canonical_text(task, coded=coded)
+    canon = diskstore.content_hash(text)
+    if text.startswith("iso:"):
+        memo[key] = canon
+    return canon
 
 
 def _record(seed: int, canon: str, outcome: Outcome, runtime: float) -> Dict[str, Any]:
@@ -246,10 +269,11 @@ def run_shard(
 ) -> List[Dict[str, Any]]:
     """Run (or resume) one shard; returns the shard's full record list.
 
-    Each seed's task is generated, iso-hashed, deduplicated against the
-    shard's earlier hashes, given its class's outcome from the class store
-    when new (decided there on a miss), and committed as one JSONL line
-    (flushed before the next seed starts — the line *is* the checkpoint).  ``limit`` bounds
+    Each seed's task is generated, iso-hashed (through a renaming-key memo
+    that lives for this call), deduplicated against the shard's earlier
+    hashes, given its class's outcome from the class store when new
+    (decided there on a miss), and committed as one JSONL line (flushed
+    before the next seed starts — the line *is* the checkpoint).  ``limit`` bounds
     how many further seeds this call processes (used by tests to pause
     mid-shard); an exception at seed ``s`` loses only ``s`` — every
     earlier line is already committed.
@@ -268,6 +292,8 @@ def run_shard(
     seen: Dict[str, Dict[str, Any]] = {}
     for record in records:
         seen.setdefault(record["canon_hash"], record)
+    # renaming key -> canon_hash, for this call's seeds only
+    memo: Dict[Hashable, str] = {}
 
     os.makedirs(root, exist_ok=True)
     done = 0
@@ -278,7 +304,7 @@ def run_shard(
             if limit is not None and done >= limit:
                 break
             task = generator(seed)
-            canon = canon_hash(task)
+            canon = canon_hash(task, memo)
             representative = seen.get(canon)
             if representative is not None:
                 counter_add("corpus.dedup.hit")

@@ -9,8 +9,8 @@ the programmatic form of the walkthroughs in ``examples/``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ..solvability.decision import SolvabilityVerdict, Status, decide_solvability
 from ..splitting.lap import local_articulation_points

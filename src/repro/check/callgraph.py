@@ -30,7 +30,6 @@ downstream are stable.
 from __future__ import annotations
 
 import ast
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 

@@ -19,7 +19,7 @@ the whole battery and returns the traces, for use next to
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .scheduler import Execution, ExecutionTrace, ProcessFactory
 

@@ -20,7 +20,7 @@ the scheduler executes atomically (see :mod:`repro.runtime.scheduler`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 
 class MemoryError_(RuntimeError):

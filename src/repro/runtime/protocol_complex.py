@@ -11,8 +11,7 @@ induce chromatic subdivisions.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Optional, Set
+from typing import Optional, Set
 
 from ..topology.chromatic import ChromaticComplex
 from ..topology.simplex import Simplex

@@ -24,7 +24,7 @@ repository benchmark's ``service-zipf`` workload (``perfbench/``).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..perf import Measurement, PerfHarness
 from .client import (

@@ -47,7 +47,7 @@ from ..obs.metrics import build_metrics, prometheus_text
 from ..obs.recorder import Recorder, get_recorder, tracing_enabled
 from ..obs.sampler import ResourceSampler, read_rss_bytes
 from .accesslog import AccessLog
-from .batch import BatchQueue, SubmitInfo
+from .batch import BatchQueue
 from .cache import VerdictCache
 from .execution import resolve_task
 from .keys import canonical_dumps, content_hash, json_hash

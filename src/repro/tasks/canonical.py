@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from ..topology import diskstore
 from ..topology.carrier import CarrierMap
@@ -283,7 +283,90 @@ def _keyed(facets: _Coded, colour: List[int], one_digit: bool) -> bool:
     return all([colour[v] for v in f] == ids for f in facets)
 
 
-def iso_canonical_text(task: Task, cap: int = ISO_SEARCH_CAP) -> str:
+@dataclass(frozen=True)
+class CodedTask:
+    """A task's output vertices coded as dense ints, colour by colour.
+
+    ``colour[i]`` is vertex ``i``'s colour; ``members`` holds each
+    colour's vertex ints, a contiguous run, in colour order.  The facets
+    of the output complex and of every Δ image (in input sort-key order)
+    are tuples of those ints.  One coding serves both
+    :func:`renaming_key` and :func:`iso_canonical_text`.
+    """
+
+    colour: List[int]
+    members: List[range]
+    out_facets: _Coded
+    images: List[Tuple[Simplex, _Coded]]
+
+
+def code_task(task: Task) -> CodedTask:
+    """Code ``task``'s output vertices as ints, keyed by ``(colour, value)``."""
+    by_colour: Dict[int, List[Vertex]] = {}
+    for v in task.output_complex.vertices:
+        by_colour.setdefault(v.color, []).append(v)
+    index: Dict[Tuple[int, Hashable], int] = {}
+    colour: List[int] = []
+    members: List[range] = []
+    for c in sorted(by_colour):
+        first = len(colour)
+        for v in by_colour[c]:
+            index[c, v.value] = len(colour)
+            colour.append(c)
+        members.append(range(first, len(colour)))
+    return CodedTask(
+        colour,
+        members,
+        _coded(task.output_complex, index),
+        [
+            (s, _coded(image, index))
+            for s, image in sorted(task.delta.items(), key=lambda kv: kv[0].sort_key())
+        ],
+    )
+
+
+def renaming_key(task: Task, coded: CodedTask) -> Hashable:
+    """``task`` rewritten under one deterministic per-colour relabeling.
+
+    Each colour's values are labeled ``0..k-1`` in the order of a
+    two-round degree profile (the vertex's facet count, then the sorted
+    facet counts of its facet-mates), ties broken by the coded vertex
+    order; a vertex is coded as ``(colour, label)``.  The key holds the
+    input facets, the relabeled output facets and every ``(input simplex,
+    relabeled Δ facets)`` pair, so equal keys mean both tasks are
+    renamings of one labeled task: they are isomorphic, and their
+    :func:`iso_canonical_text` agree whenever it is renaming-invariant
+    (below the search cap).  The profile only decides how often
+    isomorphs share a key, never whether sharing one is sound.
+    """
+    colour = coded.colour
+    incident: List[_Coded] = [[] for _ in colour]
+    for f in coded.out_facets:
+        for v in f:
+            incident[v].append(f)
+    degree = [len(fs) for fs in incident]
+    code: List[Tuple[int, int]] = [(0, 0)] * len(colour)
+    for vs in coded.members:
+        ranked = sorted(
+            vs,
+            key=lambda v: (degree[v], sorted([degree[u] for f in incident[v] for u in f if u != v]), v),
+        )
+        for label, v in enumerate(ranked):
+            code[v] = (colour[v], label)
+
+    def relabeled(facets: _Coded) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        return tuple(sorted([tuple([code[v] for v in f]) for f in facets]))
+
+    return (
+        tuple(task.input_complex.facets),
+        relabeled(coded.out_facets),
+        tuple([(s, relabeled(facets)) for s, facets in coded.images]),
+    )
+
+
+def iso_canonical_text(
+    task: Task, cap: int = ISO_SEARCH_CAP, coded: Optional[CodedTask] = None
+) -> str:
     """A canonical description of ``task`` up to per-color output-value renaming.
 
     Output values of each color are relabeled ``0..k-1``; among all
@@ -308,22 +391,12 @@ def iso_canonical_text(task: Task, cap: int = ISO_SEARCH_CAP) -> str:
     So the least tuple of rows is exactly the least full text.  A row
     whose candidates :func:`_keyed` admits is compared by label tuples,
     any other row by its rendered text; the text is rendered in full once,
-    for the winning relabeling.
+    for the winning relabeling.  ``coded`` is the task's :func:`code_task`
+    when the caller already has it.
     """
-    out = task.output_complex
-    by_colour: Dict[int, List[Vertex]] = {}
-    for v in out.vertices:
-        by_colour.setdefault(v.color, []).append(v)
-    index: Dict[Tuple[int, Hashable], int] = {}
-    colour: List[int] = []
-    members: List[range] = []  # each colour's vertex ints, a contiguous run
-    for c in sorted(by_colour):
-        first = len(colour)
-        for v in by_colour[c]:
-            index[c, v.value] = len(colour)
-            colour.append(c)
-        members.append(range(first, len(colour)))
-    out_facets = _coded(out, index)
+    if coded is None:
+        coded = code_task(task)
+    colour, members, out_facets = coded.colour, coded.members, coded.out_facets
     sig = _refined_signatures(out_facets, colour)
 
     # per colour: tie groups of vertices with equal signatures, in
@@ -349,7 +422,7 @@ def iso_canonical_text(task: Task, cap: int = ISO_SEARCH_CAP) -> str:
                 labels[v - vs.start] = i
             labelings.append(tuple(labels))
         per_colour.append(labelings)
-    one_digit = all(len(vs) <= 10 for vs in by_colour.values())
+    one_digit = all(len(vs) <= 10 for vs in members)
 
     def least(candidates: Iterable[Tuple[int, ...]], facets: _Coded) -> List[Tuple[int, ...]]:
         """The candidates whose row over ``facets`` is least, streamed."""
@@ -372,10 +445,7 @@ def iso_canonical_text(task: Task, cap: int = ISO_SEARCH_CAP) -> str:
         (tuple(itertools.chain.from_iterable(p)) for p in itertools.product(*per_colour)),
         out_facets,
     )
-    images = [
-        (s, _coded(image, index))
-        for s, image in sorted(task.delta.items(), key=lambda kv: kv[0].sort_key())
-    ]
+    images = coded.images
     for _, facets in images:
         if len(tied) == 1:
             break

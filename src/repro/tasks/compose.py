@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..topology.carrier import CarrierMap
 from .task import Task, TaskError
 
 

@@ -23,7 +23,7 @@ components).  See EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 from ...topology.chromatic import ChromaticComplex
 from ...topology.complexes import SimplicialComplex

@@ -17,7 +17,7 @@ legal when the underlying value set is a simplex of ``K``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from ...topology.carrier import CarrierMap
 from ...topology.chromatic import ChromaticComplex

@@ -11,7 +11,6 @@ edges (i wins / j wins), so the solo outputs (both "win") are separated in
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 from ...topology.chromatic import ChromaticComplex

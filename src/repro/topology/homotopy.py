@@ -26,7 +26,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .complexes import SimplicialComplex
 from .homology import ChainBasis, bfs_forest, edge_chain, is_null_homologous
-from .simplex import Simplex, vertex_sort_key
+from .simplex import Simplex
 
 Word = Tuple[int, ...]  # non-zero ints; +g / -g are a generator and inverse
 

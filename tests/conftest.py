@@ -6,22 +6,15 @@ import pytest
 
 from repro.tasks.zoo import (
     consensus_task,
-    constant_task,
     figure3_task,
     hourglass_task,
     identity_task,
-    inputless_set_agreement_task,
     majority_consensus_task,
-    path_task,
     pinwheel_task,
-    set_agreement_task,
-    single_facet_input,
-    triangle_loop,
-    two_process_fork_task,
 )
 from repro.topology.chromatic import ChromaticComplex
 from repro.topology.complexes import SimplicialComplex
-from repro.topology.simplex import Simplex, Vertex, chrom
+from repro.topology.simplex import Simplex, chrom
 
 
 @pytest.fixture(autouse=True)

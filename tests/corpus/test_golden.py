@@ -18,7 +18,6 @@ import os
 import pytest
 
 from repro.analysis.corpus import (
-    CorpusConfig,
     census_from_manifest,
     load_manifest,
     validate_manifest,

@@ -1,6 +1,5 @@
 """Unit tests for adversarial schedulers."""
 
-import pytest
 
 from repro.runtime.adversary import (
     adversarial_sweep,

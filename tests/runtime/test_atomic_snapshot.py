@@ -8,7 +8,6 @@ and assert every scan result is one of the states that existed during the
 scan.  For two processes the check runs over *all* interleavings.
 """
 
-import itertools
 
 import pytest
 

@@ -17,7 +17,7 @@ from repro.runtime.chromatic_agreement import (
 )
 from repro.runtime.scheduler import explore_schedules, run_random, run_solo_blocks
 from repro.runtime.simulation import check_trace
-from repro.tasks.zoo import identity_task, set_agreement_task
+from repro.tasks.zoo import set_agreement_task
 from repro.topology.simplex import Simplex, Vertex
 
 

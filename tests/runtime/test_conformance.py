@@ -9,8 +9,6 @@ from repro.runtime.conformance import (
     SCHEMA,
     ConformanceConfig,
     ConformanceReport,
-    TaskConformance,
-    ViolationRecord,
     census_slice,
     conform_protocol,
     conform_task,
@@ -21,7 +19,7 @@ from repro.runtime.conformance import (
 )
 from repro.runtime.scheduler import run_with_schedule
 from repro.runtime.simulation import check_trace, participation_simplices
-from repro.tasks.zoo import identity_task, majority_consensus_task, path_task
+from repro.tasks.zoo import majority_consensus_task, path_task
 
 #: small budgets so the engine is exercised end to end in milliseconds
 FAST = ConformanceConfig(random_runs=3, exhaustive_limit=15, shrink_budget=60)

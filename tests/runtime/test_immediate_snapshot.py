@@ -12,7 +12,6 @@ over all interleavings (capped) plus random schedules for 3.
 
 import itertools
 
-import pytest
 
 from repro.runtime.immediate_snapshot import immediate_snapshot
 from repro.runtime.scheduler import explore_schedules, run_random, run_solo_blocks

@@ -8,7 +8,6 @@ full-information protocol produces exactly that partition's views — i.e.
 the shared-memory substrate realizes the whole of Ch¹, not just a sample.
 """
 
-import itertools
 
 from repro.runtime.full_information import make_full_information_factories
 from repro.runtime.scheduler import Execution

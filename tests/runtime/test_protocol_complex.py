@@ -1,6 +1,5 @@
 """Unit tests for empirical protocol complexes."""
 
-import pytest
 
 from repro.runtime.protocol_complex import (
     reachable_views_complex,

@@ -11,8 +11,7 @@ from repro.runtime.simulation import (
     validate_protocol,
 )
 from repro.runtime.scheduler import ExecutionTrace, run_random
-from repro.tasks.zoo import identity_task
-from repro.topology.simplex import Simplex, Vertex
+from repro.topology.simplex import Vertex
 
 
 def correct_builder(task):

@@ -12,7 +12,6 @@ from repro.runtime.synthesis import (
 from repro.solvability.map_search import SearchBudgetExceeded
 from repro.solvability import decide_solvability
 from repro.tasks.zoo import (
-    consensus_task,
     constant_task,
     identity_task,
     loop_agreement_task,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.solvability.decision import (
-    SolvabilityVerdict,
     Status,
     WitnessRejected,
     decide_solvability,

@@ -6,7 +6,6 @@ per-facet, single-vertex images everywhere, and value collisions between
 input and output vocabularies.
 """
 
-import pytest
 
 from repro.solvability import (
     Status,
@@ -17,7 +16,7 @@ from repro.solvability import (
 from repro.tasks import Task, is_canonical
 from repro.tasks.task import task_from_function
 from repro.topology.chromatic import ChromaticComplex
-from repro.topology.simplex import Simplex, Vertex, chrom
+from repro.topology.simplex import Simplex, chrom
 
 
 def disjoint_islands_task() -> Task:

@@ -11,9 +11,6 @@ from repro.solvability.map_search import (
     verify_map,
 )
 from repro.tasks.zoo import (
-    consensus_task,
-    hourglass_task,
-    identity_task,
     path_task,
     set_agreement_task,
 )

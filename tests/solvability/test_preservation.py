@@ -7,7 +7,7 @@ before and after LAP splitting (whenever both sides are decided).
 
 import pytest
 
-from repro.solvability import Status, decide_solvability
+from repro.solvability import decide_solvability
 from repro.splitting.pipeline import link_connected_form
 from repro.tasks.canonical import canonicalize
 from repro.tasks.zoo import (

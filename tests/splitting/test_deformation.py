@@ -12,7 +12,7 @@ from repro.splitting.deformation import (
 from repro.splitting.lap import local_articulation_points
 from repro.tasks.canonical import is_canonical
 from repro.tasks.zoo import hourglass_articulation_vertex, path_task
-from repro.topology.simplex import Simplex, Vertex
+from repro.topology.simplex import Vertex
 
 
 @pytest.fixture

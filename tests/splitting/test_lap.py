@@ -6,7 +6,7 @@ from repro.splitting.lap import (
     is_link_connected_task,
     local_articulation_points,
 )
-from repro.tasks.zoo import hourglass_articulation_vertex, identity_task
+from repro.tasks.zoo import hourglass_articulation_vertex
 from repro.topology.simplex import Vertex
 
 

@@ -14,7 +14,7 @@ from repro.splitting import (
     local_articulation_points,
 )
 from repro.tasks.canonical import canonicalize, split_product_vertex
-from repro.topology.simplex import Simplex, Vertex, chrom
+from repro.topology.simplex import Simplex
 
 
 def _laps_per_facet(task):

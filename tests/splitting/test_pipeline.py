@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.obs import tracing
-from repro.splitting.deformation import SplitRecord, split_lap, unsplit_vertex
+from repro.splitting.deformation import SplitRecord, split_lap
 from repro.splitting.lap import is_link_connected_task, local_articulation_points
 from repro.splitting.pipeline import (
     SplitPipelineResult,
@@ -19,7 +19,6 @@ from repro.tasks.canonical import canonicalize_if_needed, is_canonical
 from repro.tasks.task import Task
 from repro.tasks.zoo import random_single_input_task
 from repro.topology import diskstore
-from repro.topology.simplex import Vertex
 
 
 class TestEliminateLaps:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.tasks.canonical import ISO_SEARCH_CAP, task_text
 from repro.tasks.task import Task, TaskError
@@ -270,11 +270,19 @@ def renamed(task: Task, rng: random.Random) -> Task:
         shuffled = values[:]
         rng.shuffle(shuffled)
         maps[color] = dict(zip(values, shuffled))
+    return renamed_by(task, lambda v: maps[v.color][v.value])
 
-    def rename(k, cls=SimplicialComplex):
-        return cls(Simplex(Vertex(v.color, maps[v.color][v.value]) for v in f) for f in k.facets)
 
-    outputs = rename(task.output_complex, ChromaticComplex)
-    images = {tau: rename(img) for tau, img in task.delta.items()}
+def renamed_by(task: Task, rename: Callable[[Vertex], Hashable]) -> Task:
+    """The same task with each output vertex ``v`` given the value ``rename(v)``.
+
+    ``rename`` must be injective on each color's values.
+    """
+
+    def relabel(k, cls=SimplicialComplex):
+        return cls(Simplex(Vertex(v.color, rename(v)) for v in f) for f in k.facets)
+
+    outputs = relabel(task.output_complex, ChromaticComplex)
+    images = {tau: relabel(img) for tau, img in task.delta.items()}
     delta = CarrierMap(task.input_complex, outputs, images, check=False)
     return Task(task.input_complex, outputs, delta, name=task.name)

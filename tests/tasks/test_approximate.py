@@ -57,7 +57,6 @@ class TestSolvability:
     def test_no_obstruction_fires(self):
         from repro.solvability import (
             corollary_5_5,
-            corollary_5_6,
             homological_obstruction,
         )
 

@@ -1,6 +1,5 @@
 """Unit tests for the task zoo: every task matches its paper description."""
 
-import itertools
 
 import pytest
 
@@ -11,12 +10,9 @@ from repro.tasks.zoo import (
     constant_task,
     full_input_complex,
     hourglass_articulation_vertex,
-    identity_task,
     inputless_set_agreement_task,
     loop_agreement_task,
-    majority_consensus_task,
     path_task,
-    pinwheel_task,
     pinwheel_triangles,
     set_agreement_task,
     single_facet_input,

@@ -1,10 +1,7 @@
 """Unit tests for the analysis layer."""
 
-import pytest
-
-from repro.analysis import Census, TaskReport, analyze_task, run_census
-from repro.solvability import Status
-from repro.tasks.zoo import identity_task, path_task
+from repro.analysis import Census, analyze_task, run_census
+from repro.tasks.zoo import path_task
 from repro.tasks.zoo.random_tasks import random_sparse_task
 
 

@@ -19,8 +19,8 @@ from repro.io import (
 from repro.splitting import link_connected_form
 from repro.splitting.deformation import SplitValue
 from repro.tasks.canonical import canonicalize
-from repro.topology.simplex import Simplex, Vertex, chrom
-from repro.topology.subdivision import Barycenter, iterated_chromatic_subdivision
+from repro.topology.simplex import Simplex, Vertex
+from repro.topology.subdivision import Barycenter
 
 
 class TestValueRoundtrip:

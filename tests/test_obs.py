@@ -13,7 +13,6 @@ import pytest
 from repro import obs
 from repro.obs import (
     SCHEMA,
-    Recorder,
     build_trace,
     capture_worker,
     counter_add,

@@ -9,7 +9,6 @@ from repro.topology.chromatic import (
     ids,
     strip_colors,
 )
-from repro.topology.complexes import SimplicialComplex
 from repro.topology.simplex import Simplex, Vertex, chrom
 
 

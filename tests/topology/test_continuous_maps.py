@@ -15,7 +15,6 @@ from repro.solvability.map_search import find_map
 from repro.tasks.zoo import hourglass_task, identity_task
 from repro.topology.geometry import (
     Realization,
-    RealizationPoint,
     pl_image,
     sample_simplex_points,
 )

@@ -4,7 +4,6 @@ import pytest
 
 from repro.topology.complexes import SimplicialComplex
 from repro.topology.homotopy import (
-    Presentation,
     cyclic_reduce,
     free_reduce,
     invert,

@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) for the topology substrate."""
 
-import itertools
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,9 +7,7 @@ from hypothesis import strategies as st
 
 from repro.topology.complexes import SimplicialComplex
 from repro.topology.homology import (
-    ChainBasis,
     betti_numbers,
-    boundary_matrix,
     integer_rank,
     rank_mod2,
     smith_normal_form,

@@ -1,6 +1,5 @@
 """Unit tests for pseudomanifold diagnostics."""
 
-import pytest
 
 from repro.splitting import link_connected_form
 from repro.topology.complexes import SimplicialComplex

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.topology.chromatic import ChromaticComplex
-from repro.topology.complexes import SimplicialComplex
-from repro.topology.simplex import Simplex, Vertex, chrom
+from repro.topology.simplex import Simplex, chrom
 from repro.topology.subdivision import (
     Barycenter,
     barycentric_subdivision,

@@ -7,7 +7,6 @@ the chain machinery — exactly the arithmetic the torsion obstruction of
 the solvability checker relies on.
 """
 
-import numpy as np
 import pytest
 
 from repro.topology.complexes import SimplicialComplex
