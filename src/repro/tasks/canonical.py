@@ -194,7 +194,10 @@ def is_canonical(task: Task) -> bool:
 # ``iso_canonical_text`` computes a renaming-invariant canonical description:
 # equal texts <=> the tasks are related by such a renaming.  The corpus
 # pipeline hashes this text (via ``diskstore.content_hash``) to skip
-# isomorphic duplicates before deciding them.
+# isomorphic duplicates before deciding them.  ``renaming_key`` is a cheaper
+# key that is not renaming-invariant but is sound: below the search cap equal
+# keys imply equal texts, so a shard can reuse a text's hash for every later
+# task with its key.
 
 #: renaming assignments explored before falling back to the exact text
 ISO_SEARCH_CAP = 20_000
@@ -445,8 +448,7 @@ def iso_canonical_text(
         (tuple(itertools.chain.from_iterable(p)) for p in itertools.product(*per_colour)),
         out_facets,
     )
-    images = coded.images
-    for _, facets in images:
+    for _, facets in coded.images:
         if len(tied) == 1:
             break
         tied = least(tied, facets)
@@ -455,7 +457,7 @@ def iso_canonical_text(
         f"in:{';'.join(repr(f) for f in task.input_complex.facets)}",
         f"out:{_render(labels, colour, out_facets)}",
     ]
-    rows.extend(f"{s!r}=>{_render(labels, colour, facets)}" for s, facets in images)
+    rows.extend(f"{s!r}=>{_render(labels, colour, facets)}" for s, facets in coded.images)
     return "iso:" + "\n".join(rows)
 
 
