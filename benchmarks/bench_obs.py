@@ -37,7 +37,6 @@ from repro.obs import (
     validate_trace,
 )
 from repro.tasks.zoo import hourglass_task, path_task, pinwheel_task
-from repro.topology import cache_clear
 
 pytestmark = pytest.mark.perf
 
@@ -88,11 +87,9 @@ def test_decision_overhead_disabled_vs_enabled(report, smoke):
     repeat = 2 if smoke else 3
     for name, make, max_rounds in WORKLOADS[mode]:
         set_tracing(False)
-        cache_clear()
         untraced, off_s = _best_of(repeat, _decide, make, max_rounds)
 
         reset_recorder()
-        cache_clear()
         with tracing():
             traced, on_s = _best_of(repeat, _decide, make, max_rounds)
             payload = build_trace(meta={"command": f"bench decide {name}"})

@@ -330,7 +330,6 @@ def cmd_obs(args) -> int:
         min_seconds=args.min_seconds,
         rel_tolerance=args.rel_tol,
         counter_tolerance=args.counter_tol,
-        cache_tolerance=args.cache_tol,
     )
     try:
         if args.baseline:
@@ -942,12 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.10,
         help="diff: allowed relative counter growth (default 0.10)",
-    )
-    p.add_argument(
-        "--cache-tol",
-        type=float,
-        default=0.05,
-        help="diff: allowed absolute cache hit-rate drop (default 0.05)",
     )
     p.add_argument(
         "--show-ok",

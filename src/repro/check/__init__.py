@@ -6,8 +6,8 @@ invariants: proper chromatic coloring, monotone name-preserving carrier
 maps, total rigid deltas, genuinely link-connected outputs.  This package
 verifies those invariants *statically*, before any decision procedure runs,
 and additionally lints the library's own sources for the hazards the fast
-topology core introduced (interned-object mutation, cache-internal access,
-nondeterministic task generation).
+topology core introduced (interned-object mutation, nondeterministic
+task generation).
 
 Three levels:
 

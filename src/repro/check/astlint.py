@@ -1,24 +1,16 @@
 """Level-2 source lint: repo-specific hazards, enforced with ``ast``.
 
-The fast topology core (PR 1) made several conventions load-bearing:
+The fast topology core made several conventions load-bearing:
 simplices and vertices are *interned*, so mutating one corrupts every
-aliased copy; complex queries are memoized through a private ``_cache``
-slot whose layout only :mod:`repro.topology.cache` may know; census
-aggregates are reproducible only because task generation is seeded.  None
-of these rules can be expressed in mypy or ruff, so this module walks the
-``src/repro`` ASTs itself.
+aliased copy; census aggregates are reproducible only because task
+generation is seeded.  None of these rules can be expressed in mypy or
+ruff, so this module walks the ``src/repro`` ASTs itself.
 
 Rules (see ``docs/static_analysis.md`` for examples):
 
 ``RC401``
     No attribute writes to interned ``Simplex``/``Vertex`` state (and no
     ``object.__setattr__`` escape hatch) outside the topology core.
-``RC402``
-    No access to memoization internals — the ``_cache`` slot, or private
-    globals of :mod:`repro.topology.cache` — outside the topology core.
-``RC403``
-    No memoized-query calls inside ``caching_disabled()`` blocks in
-    library code (the bypass exists for benchmarks).
 ``RC404``
     Dataclasses in :mod:`repro.topology` and :mod:`repro.splitting` must
     be ``frozen=True``, and the core topology value types must stay
@@ -35,7 +27,7 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .diagnostics import Diagnostic
 
@@ -47,33 +39,11 @@ INTERNED_ATTRS: FrozenSet[str] = frozenset(
     {"color", "value", "vertices", "_hash", "_sorted", "_key", "_colors", "_chromatic", "_faces"}
 )
 
-#: memoized SimplicialComplex queries (kept in sync by the test suite)
-MEMOIZED_QUERIES: FrozenSet[str] = frozenset(
-    {
-        "simplices",
-        "f_vector",
-        "is_pure",
-        "is_chromatic",
-        "colors",
-        "skeleton",
-        "star",
-        "link",
-        "is_connected",
-        "connected_components",
-        "is_link_connected",
-        "_bits",
-    }
-)
-
-#: private module state of repro.topology.cache
-CACHE_PRIVATE_NAMES: FrozenSet[str] = frozenset({"_enabled", "_epoch", "_stats", "_EPOCH_KEY"})
-
-#: files allowed to touch interned state / cache internals (topology core)
+#: files allowed to touch interned state (topology core)
 _TOPOLOGY_CORE: FrozenSet[str] = frozenset(
     {
         "topology/simplex.py",
         "topology/complexes.py",
-        "topology/cache.py",
     }
 )
 
@@ -126,8 +96,6 @@ _RANDOM_MODULE_FNS: FrozenSet[str] = frozenset(
 #: rule metadata: code -> short name (mirrors docs/static_analysis.md)
 LINT_RULES: Dict[str, str] = {
     "RC401": "interned-mutation",
-    "RC402": "cache-internals-access",
-    "RC403": "memoized-call-in-caching-disabled",
     "RC404": "mutable-topology-dataclass",
     "RC405": "nondeterministic-generation",
     "RC407": "unknown-suppression-code",
@@ -151,8 +119,6 @@ class _FileLinter(ast.NodeVisitor):
         self.relpath = relpath
         self.filename = filename
         self.diagnostics: List[Diagnostic] = []
-        self._cache_aliases: Set[str] = set()
-        self._disabled_depth = 0
         self.in_topology_core = relpath in _TOPOLOGY_CORE
         self.in_determinism_scope = any(
             relpath.startswith(p) if p.endswith("/") else relpath == p
@@ -178,34 +144,7 @@ class _FileLinter(ast.NodeVisitor):
             )
         )
 
-    # -- imports (track aliases of repro.topology.cache) -------------------
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name.endswith("topology.cache"):
-                self._cache_aliases.add(alias.asname or alias.name.split(".")[0])
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        module = node.module or ""
-        from_topology = module.endswith("topology") or (node.level > 0 and module == "")
-        for alias in node.names:
-            if alias.name == "cache" and (from_topology or node.level > 0):
-                self._cache_aliases.add(alias.asname or alias.name)
-            if (
-                module.endswith("cache")
-                and alias.name in CACHE_PRIVATE_NAMES
-                and not self.in_topology_core
-            ):
-                self._emit(
-                    "RC402",
-                    "importing private state of repro.topology.cache",
-                    node,
-                    f"from {module} import {alias.name}",
-                )
-        self.generic_visit(node)
-
-    # -- RC401 / RC402: attribute writes and cache internals ---------------
+    # -- RC401: attribute writes to interned state --------------------------
 
     def _check_attr_write(self, target: ast.AST, node: ast.AST) -> None:
         if not isinstance(target, ast.Attribute):
@@ -215,13 +154,6 @@ class _FileLinter(ast.NodeVisitor):
                 "RC401",
                 f"write to interned attribute {target.attr!r} "
                 "(interned Simplex/Vertex state is shared by aliasing)",
-                node,
-                _dotted(target) or target.attr,
-            )
-        if target.attr == "_cache" and not self.in_topology_core:
-            self._emit(
-                "RC402",
-                "write to the private memoization slot `_cache`",
                 node,
                 _dotted(target) or target.attr,
             )
@@ -244,30 +176,6 @@ class _FileLinter(ast.NodeVisitor):
             self._check_attr_write(t, node)
         self.generic_visit(node)
 
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr == "_cache" and not self.in_topology_core:
-            if isinstance(node.ctx, ast.Load):
-                self._emit(
-                    "RC402",
-                    "read of the private memoization slot `_cache` "
-                    "(use repro.topology.cache_info() instead)",
-                    node,
-                    _dotted(node) or node.attr,
-                )
-        if (
-            node.attr in CACHE_PRIVATE_NAMES
-            and isinstance(node.value, ast.Name)
-            and node.value.id in self._cache_aliases
-            and not self.in_topology_core
-        ):
-            self._emit(
-                "RC402",
-                "access to private state of repro.topology.cache",
-                node,
-                _dotted(node) or node.attr,
-            )
-        self.generic_visit(node)
-
     # -- RC401: the object.__setattr__ escape hatch ------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -282,15 +190,6 @@ class _FileLinter(ast.NodeVisitor):
                 node,
                 dotted,
             )
-        if self._disabled_depth > 0 and isinstance(node.func, ast.Attribute):
-            if node.func.attr in MEMOIZED_QUERIES:
-                self._emit(
-                    "RC403",
-                    f"memoized query {node.func.attr}() called inside a "
-                    "caching_disabled() block",
-                    node,
-                    _dotted(node.func) or node.func.attr,
-                )
         if self.in_determinism_scope and dotted is not None:
             parts = dotted.split(".")
             tail = ".".join(parts[-2:]) if len(parts) >= 2 else dotted
@@ -319,21 +218,6 @@ class _FileLinter(ast.NodeVisitor):
                         dotted,
                     )
         self.generic_visit(node)
-
-    # -- RC403: caching_disabled() blocks ----------------------------------
-
-    def visit_With(self, node: ast.With) -> None:
-        disabling = any(
-            isinstance(item.context_expr, ast.Call)
-            and (_dotted(item.context_expr.func) or "").split(".")[-1]
-            == "caching_disabled"
-            for item in node.items
-        )
-        if disabling:
-            self._disabled_depth += 1
-        self.generic_visit(node)
-        if disabling:
-            self._disabled_depth -= 1
 
     # -- RC404: dataclass / __slots__ conformance --------------------------
 

@@ -161,23 +161,6 @@ CODES: Mapping[str, CodeInfo] = _registry(
         "would corrupt every aliased copy.",
     ),
     CodeInfo(
-        "RC402",
-        "cache-internals-access",
-        2,
-        "lint",
-        "Code outside repro.topology reaches into the memoization "
-        "internals (`_cache` slot or private module state of "
-        "repro.topology.cache).",
-    ),
-    CodeInfo(
-        "RC403",
-        "memoized-call-in-caching-disabled",
-        2,
-        "lint",
-        "Library code calls a memoized query inside a caching_disabled() "
-        "block; the bypass context is reserved for benchmarks.",
-    ),
-    CodeInfo(
         "RC404",
         "mutable-topology-dataclass",
         2,

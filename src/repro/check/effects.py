@@ -1,7 +1,7 @@
 """Level-3 interprocedural effect & cache-soundness analysis (``--effects``).
 
-Every caching layer in the engine — the memoized topology queries, the
-``.repro/towers`` disk store, the content-addressed census verdict cache —
+Every caching layer in the engine — the ``.repro/towers`` disk store,
+the content-addressed census verdict cache, ``functools`` memos —
 assumes ``decide``/``synthesize``/``conform`` are *pure, deterministic*
 functions of their content-hashed inputs: a verdict computed once is
 served forever.  That assumption is not locally checkable: an
@@ -15,15 +15,16 @@ Three stages:
    resolution over the whole package, with conservative dynamic dispatch.
 2. **Effect inference**: each function gets a *direct* effect set drawn
    from the lattice below, then effects propagate caller-ward through the
-   call graph to fixpoint.  Three modules are **declared boundaries** whose
+   call graph to fixpoint.  Two modules are **declared boundaries** whose
    internal effects do not propagate — calls into them surface as a single
    benign effect instead: :mod:`repro.obs` (write-only telemetry with
-   declared merge policies), :mod:`repro.topology.diskstore` (the cache
-   itself) and :mod:`repro.topology.cache` (the memo layer itself).
+   declared merge policies) and :mod:`repro.topology.diskstore` (the
+   cache itself).
 3. **Rules** over the propagated signatures:
 
    * **RC50x cache-soundness** — every function reachable from a cached
-     entry point (``memoized_method``-decorated, or calling
+     entry point (``functools.lru_cache``/``cache``/``cached_property``-
+     decorated, or calling
      ``diskstore.load``/``store``) must be effect-free apart from the
      boundary effects and argument-seeded RNG.  Unseeded RNG (RC501) and
      environment reads (RC502) are *hard* errors the baseline cannot
@@ -64,7 +65,6 @@ effect               direct sources
 ``obs``              any call into :mod:`repro.obs` (boundary)
 ``diskstore``        any call into :mod:`repro.topology.diskstore`
                      (boundary)
-``memo-cache``       any call into :mod:`repro.topology.cache` (boundary)
 ===================  =======================================================
 
 The committed baseline (``src/repro/check/effects_baseline.json``) maps
@@ -97,11 +97,10 @@ BASELINE_SCHEMA = "repro-effects-baseline/1"
 BOUNDARY_MODULES: Mapping[str, str] = {
     "repro.obs": "obs",
     "repro.topology.diskstore": "diskstore",
-    "repro.topology.cache": "memo-cache",
 }
 
 #: effects that never violate cache soundness
-BENIGN_EFFECTS = frozenset({"obs", "diskstore", "memo-cache", "rng-seeded", "process-spawn"})
+BENIGN_EFFECTS = frozenset({"obs", "diskstore", "rng-seeded", "process-spawn"})
 
 #: RC50x: effect -> (code, hard); hard errors cannot be baseline-declared
 CACHE_RULES: Mapping[str, Tuple[str, bool]] = {
@@ -120,7 +119,7 @@ FORK_RULES: Mapping[str, str] = {
 }
 
 #: decorators that make a function a memoized cache entry point
-_MEMO_DECORATORS = frozenset({"memoized_method", "lru_cache", "cache", "cached_property"})
+_MEMO_DECORATORS = frozenset({"lru_cache", "cache", "cached_property"})
 
 #: diskstore functions whose callers become persisted entry points
 _PERSIST_FUNCTIONS = frozenset(

@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple
 MYPY_GATE: Tuple[str, ...] = (
     "src/repro/check",
     "src/repro/perf.py",
-    "src/repro/topology/cache.py",
 )
 
 #: additional mypy flags applied to every gate run

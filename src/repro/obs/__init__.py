@@ -27,8 +27,9 @@ Typical use::
     payload = obs.write_trace("trace.json", meta={"command": "decide"})
 
 Tracing is off by default; instrumented hot paths cost one branch per
-call site while disabled (same pattern as
-:func:`repro.topology.cache.set_caching`).
+call site while disabled.  Traces and run records carry spans, counters
+and gauges; they have no ``cache`` section (validators still accept the
+one older records carry).
 """
 
 from .export import SCHEMA, build_trace, validate_trace, write_trace
@@ -62,7 +63,6 @@ from .recorder import (
     gauge_set,
     get_recorder,
     memory_profiling_enabled,
-    merge_cache_maps,
     merge_gauge_maps,
     merge_worker_snapshot,
     reset_recorder,
@@ -136,7 +136,6 @@ __all__ = [
     "load_record_file",
     "load_store",
     "memory_profiling_enabled",
-    "merge_cache_maps",
     "merge_gauge_maps",
     "merge_worker_snapshot",
     "parse_prometheus_text",

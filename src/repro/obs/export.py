@@ -8,16 +8,19 @@ job catches format drift.  A trace payload carries:
 * ``spans`` — the parent process's span forest (recursive records with
   ``wall_seconds`` / ``cpu_seconds`` / ``attrs`` / ``children``);
 * ``counters`` / ``gauges`` — the parent's metrics;
-* ``cache`` — the parent's memoization activity since its recorder was
-  created (per query: hits, misses, hit rate);
 * ``workers`` — one snapshot per merged pool work item (same shape,
   plus a ``worker`` pid), preserving per-worker timing skew;
-* ``aggregate`` — counters and cache stats summed across the parent and
-  every worker snapshot, plus gauges merged under the explicit per-gauge
+* ``aggregate`` — counters summed across the parent and every worker
+  snapshot, plus gauges merged under the explicit per-gauge
   policies (``aggregate.gauge_policies``; default ``max``).  This is the
   cross-process view the parallel engines previously could not report;
   :func:`validate_trace` recomputes the sums and the policy merge, so a
   report whose aggregate drifted from its parts fails validation.
+
+Traces written before the per-instance query memo was removed also carry
+a ``cache`` map (per query: hits, misses, hit rate) at the top level, in
+each worker snapshot and in the aggregate; :func:`validate_trace` still
+checks its shape wherever it appears, so those traces keep validating.
 
 Span records additionally carry ``start_offset`` — seconds since their
 recorder was created, on the ``perf_counter`` clock — which lets
@@ -30,7 +33,7 @@ import json
 import time
 from typing import Any, Dict, List, Optional
 
-from .recorder import Recorder, get_recorder, merge_cache_maps, merge_gauge_maps
+from .recorder import Recorder, get_recorder, merge_gauge_maps
 
 #: Trace format identifier; bump the suffix on breaking changes.
 SCHEMA = "repro-trace/1"
@@ -53,13 +56,11 @@ def build_trace(
         "spans": [root.as_dict() for root in recorder.roots],
         "counters": dict(recorder.counters),
         "gauges": dict(recorder.gauges),
-        "cache": recorder.own_cache(),
         "workers": [dict(snap) for snap in recorder.worker_snapshots],
         "aggregate": {
             "counters": recorder.aggregate_counters(),
             "gauges": recorder.aggregate_gauges(),
             "gauge_policies": dict(recorder.gauge_policies),
-            "cache": recorder.aggregate_cache(),
         },
     }
 
@@ -115,26 +116,30 @@ def _validate_numeric_map(value: Any, where: str, errors: List[str]) -> bool:
     return ok
 
 
-def _validate_cache_map(value: Any, where: str, errors: List[str]) -> bool:
+def validate_cache_map(owner: Dict[str, Any], where: str, errors: List[str]) -> None:
+    """Check the ``cache`` map of ``owner`` (at path ``where``), if it has one.
+
+    Only traces and run records written before the per-instance query
+    memo was removed carry one; current producers write none.
+    """
+    if "cache" not in owner:
+        return
+    value = owner["cache"]
     if not isinstance(value, dict):
         errors.append(f"{where} must be an object")
-        return False
-    ok = True
+        return
     for query, stats in value.items():
         if not isinstance(stats, dict):
             errors.append(f"{where}[{query!r}] must be an object")
-            ok = False
             continue
         hits, misses = stats.get("hits"), stats.get("misses")
         if not (isinstance(hits, int) and isinstance(misses, int)):
             errors.append(f"{where}[{query!r}] hits/misses must be ints")
-            ok = False
             continue
         if hits < 0 or misses < 0 or hits + misses == 0:
             errors.append(
                 f"{where}[{query!r}] must have non-negative, non-zero totals"
             )
-            ok = False
             continue
         rate = stats.get("hit_rate")
         if (
@@ -142,8 +147,6 @@ def _validate_cache_map(value: Any, where: str, errors: List[str]) -> bool:
             or abs(rate - hits / (hits + misses)) > 1e-9
         ):
             errors.append(f"{where}[{query!r}].hit_rate must equal hits/total")
-            ok = False
-    return ok
 
 
 def validate_trace(payload: Any) -> List[str]:
@@ -152,7 +155,7 @@ def validate_trace(payload: Any) -> List[str]:
     An empty list means the payload is valid.  Dependency-free (no
     jsonschema in this environment), in the style of
     :func:`repro.perf.validate_report`, and strict about the aggregate:
-    the summed counters and cache stats must equal parent + workers.
+    the summed counters must equal parent + workers.
     """
     errors: List[str] = []
     if not isinstance(payload, dict):
@@ -181,7 +184,7 @@ def validate_trace(payload: Any) -> List[str]:
 
     counters_ok = _validate_numeric_map(payload.get("counters"), "counters", errors)
     gauges_ok = _validate_numeric_map(payload.get("gauges"), "gauges", errors)
-    cache_ok = _validate_cache_map(payload.get("cache"), "cache", errors)
+    validate_cache_map(payload, "cache", errors)
 
     workers = payload.get("workers")
     workers_ok = isinstance(workers, list)
@@ -202,10 +205,10 @@ def validate_trace(payload: Any) -> List[str]:
         else:
             for j, span in enumerate(wspans):
                 _validate_span(span, f"{where}.spans[{j}]", errors)
+        validate_cache_map(snap, f"{where}.cache", errors)
         workers_ok = (
             _validate_numeric_map(snap.get("counters"), f"{where}.counters", errors)
             and _validate_numeric_map(snap.get("gauges", {}), f"{where}.gauges", errors)
-            and _validate_cache_map(snap.get("cache"), f"{where}.cache", errors)
             and workers_ok
         )
 
@@ -226,7 +229,7 @@ def validate_trace(payload: Any) -> List[str]:
         errors.append("aggregate.gauge_policies must map gauge names to policy names")
         agg_gauges_ok = False
         gauge_policies = {}
-    agg_cache_ok = _validate_cache_map(aggregate.get("cache"), "aggregate.cache", errors)
+    validate_cache_map(aggregate, "aggregate.cache", errors)
 
     # the aggregate must actually be the sum of its parts
     if counters_ok and workers_ok and agg_counters_ok:
@@ -257,15 +260,4 @@ def validate_trace(payload: Any) -> List[str]:
                     "aggregate.gauges must equal the policy-merged parent + "
                     "worker gauges"
                 )
-    if cache_ok and workers_ok and agg_cache_ok:
-        expected_cache = merge_cache_maps(
-            payload["cache"], *(snap.get("cache", {}) for snap in workers)
-        )
-        got_cache = aggregate["cache"]
-        if set(expected_cache) != set(got_cache) or any(
-            expected_cache[q]["hits"] != got_cache[q]["hits"]
-            or expected_cache[q]["misses"] != got_cache[q]["misses"]
-            for q in expected_cache
-        ):
-            errors.append("aggregate.cache must equal parent + worker sums")
     return errors

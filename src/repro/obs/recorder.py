@@ -21,11 +21,11 @@ This module records that structure:
 * **worker snapshots** — serialized recorder state returned by
   :mod:`multiprocessing` pool workers (see :func:`capture_worker`) and
   folded into the parent with :func:`merge_worker_snapshot`, so parallel
-  census/conformance runs report *aggregate* counters and cache hit
-  rates instead of silently dropping everything the workers did.
+  census/conformance runs report *aggregate* counters and gauges
+  instead of silently dropping everything the workers did.
 
-Tracing is **off by default** and gated by a module-level flag, exactly
-like :func:`repro.topology.cache.set_caching`: when disabled,
+Tracing is **off by default** and gated by a module-level flag
+(:func:`set_tracing`): when disabled,
 :func:`span` returns a shared no-op context manager and
 :func:`counter_add` / :func:`gauge_set` return immediately, so the
 instrumented hot paths pay one attribute load + branch per call site
@@ -184,43 +184,6 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-def _cache_raw() -> Dict[str, Tuple[int, int]]:
-    """Current-process lifetime memoization totals, ``{query: (hits, misses)}``."""
-    # imported lazily: obs must stay importable below the topology layer
-    from ..topology.cache import cache_totals
-
-    return cache_totals()
-
-
-def _cache_delta(
-    baseline: Dict[str, Tuple[int, int]], now: Dict[str, Tuple[int, int]]
-) -> Dict[str, Dict[str, Any]]:
-    """Per-query ``now - baseline`` of lifetime totals (never negative:
-    ``cache_clear`` does not zero them)."""
-    out: Dict[str, Dict[str, Any]] = {}
-    for name, (hits, misses) in sorted(now.items()):
-        h0, m0 = baseline.get(name, (0, 0))
-        dh, dm = hits - h0, misses - m0
-        if dh + dm:
-            out[name] = {"hits": dh, "misses": dm, "hit_rate": dh / (dh + dm)}
-    return out
-
-
-def merge_cache_maps(*maps: Dict[str, Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
-    """Sum ``{query: {hits, misses, hit_rate}}`` maps; hit rates recomputed."""
-    totals: Dict[str, List[int]] = {}
-    for m in maps:
-        for name, stats in m.items():
-            pair = totals.setdefault(name, [0, 0])
-            pair[0] += int(stats["hits"])
-            pair[1] += int(stats["misses"])
-    return {
-        name: {"hits": h, "misses": m, "hit_rate": h / (h + m)}
-        for name, (h, m) in sorted(totals.items())
-        if h + m
-    }
-
-
 #: How one gauge's values combine across the parent and its pool workers.
 #: ``"last"`` reproduces the old implicit dict-update behaviour — which
 #: made parallel gauges depend on worker *completion order* — and is
@@ -281,7 +244,6 @@ class Recorder:
         "worker_snapshots",
         "_stack",
         "_mem_stack",
-        "_cache_baseline",
         "_origin_perf",
     )
 
@@ -298,7 +260,6 @@ class Recorder:
         self.worker_snapshots: List[Dict[str, Any]] = []
         self._stack: List[SpanRecord] = []
         self._mem_stack: List[int] = []
-        self._cache_baseline: Dict[str, Tuple[int, int]] = _cache_raw()
         self._origin_perf: float = time.perf_counter()
 
     # -- recording ---------------------------------------------------------
@@ -390,10 +351,6 @@ class Recorder:
     def span_names(self) -> List[str]:
         return [record.name for record in self.walk()]
 
-    def own_cache(self) -> Dict[str, Dict[str, Any]]:
-        """This process's memoization activity since the recorder was created."""
-        return _cache_delta(self._cache_baseline, _cache_raw())
-
     # -- cross-process aggregation -----------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
@@ -404,7 +361,6 @@ class Recorder:
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
             "gauge_policies": dict(self.gauge_policies),
-            "cache": self.own_cache(),
         }
 
     def merge_worker(
@@ -414,8 +370,8 @@ class Recorder:
     ) -> None:
         """Fold one worker snapshot into this (parent) recorder.
 
-        Counters and cache stats are summed at aggregation time — those
-        merges are unambiguous.  Gauges are not: before this parameter,
+        Counters are summed at aggregation time — that merge is
+        unambiguous.  Gauges are not: before this parameter,
         parallel gauge values depended on worker completion order
         (last-write-wins by dict update).  Every gauge now merges under
         an explicit policy — ``"max"`` unless overridden here or via
@@ -448,21 +404,6 @@ class Recorder:
                 totals[name] = totals.get(name, 0.0) + value
         return totals
 
-    def aggregate_cache(self) -> Dict[str, Dict[str, Any]]:
-        """Parent + worker memoization stats, summed per query.
-
-        This is the number the parallel census/conformance engines could
-        not report before: worker hits/misses used to vanish with the
-        worker process, so parallel runs under-reported cache
-        effectiveness.  ``workers=1`` and ``workers=N`` aggregates are
-        equal on the same workload (pinned by
-        ``tests/test_obs_integration.py``).
-        """
-        return merge_cache_maps(
-            self.own_cache(),
-            *(snap.get("cache", {}) for snap in self.worker_snapshots),
-        )
-
 
 _recorder = Recorder()
 
@@ -473,7 +414,7 @@ def get_recorder() -> Recorder:
 
 
 def reset_recorder() -> Recorder:
-    """Install a fresh recorder (and cache baseline); returns the old one."""
+    """Install a fresh recorder; returns the old one."""
     global _recorder
     previous = _recorder
     _recorder = Recorder()
@@ -586,7 +527,7 @@ def capture_worker() -> Iterator[WorkerCapture]:
     Used inside :mod:`multiprocessing` worker entry points (one capture
     per work item): a fresh recorder is installed (so fork-inherited
     parent state cannot leak in), tracing is enabled, and on exit the
-    block's spans, counters and *cache-delta* are serialized into
+    block's spans, counters and gauges are serialized into
     ``capture.snapshot`` for the parent to fold in with
     :func:`merge_worker_snapshot`.  The previous recorder and flag are
     always restored — pool workers are reused across work items, so each

@@ -4,11 +4,11 @@ Traces (:mod:`repro.obs.export`) answer "where did *this* run spend its
 time"; nothing answered "how has that changed since last week".  This
 module closes the loop: every traced CLI invocation appends one compact,
 schema-validated **run record** to an append-only JSONL store, so
-decision latency, cache hit rates and campaign throughput become a
+decision latency, counters and campaign throughput become a
 queryable trajectory across commits instead of dying with each process.
 
 A run record is deliberately much smaller than a trace — top-level span
-wall/CPU aggregated by name, aggregate counters/gauges/cache, plus
+wall/CPU aggregated by name, aggregate counters/gauges, plus
 provenance (command, argv, task, git SHA, host fingerprint) — so the
 store stays cheap to append to and fast to scan even after thousands of
 runs.  ``python -m repro obs trend`` renders per-metric history,
@@ -34,6 +34,7 @@ import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..service.keys import record_id
+from .export import validate_cache_map
 
 #: Run-record format identifier; bump the suffix on breaking changes.
 SCHEMA = "repro-run/1"
@@ -111,7 +112,7 @@ def build_run_record(
     ``command`` is the subcommand name (``decide``, ``census``, …) —
     trend/diff group and match runs by it.  ``task`` is the task spec
     when the command has one.  The trace's *aggregate* sections are used,
-    so parallel runs record true cross-process counters and cache rates.
+    so parallel runs record true cross-process counters.
     """
     aggregate = trace_payload.get("aggregate", {})
     record = {
@@ -125,12 +126,6 @@ def build_run_record(
         "spans": _top_spans(trace_payload.get("spans", [])),
         "counters": dict(aggregate.get("counters") or trace_payload.get("counters", {})),
         "gauges": dict(aggregate.get("gauges") or trace_payload.get("gauges", {})),
-        "cache": {
-            query: dict(stats)
-            for query, stats in (
-                aggregate.get("cache") or trace_payload.get("cache", {})
-            ).items()
-        },
         "meta": dict(meta or {}),
     }
     record["run_id"] = _run_id(record)
@@ -170,7 +165,6 @@ def bench_run_record(
         "spans": spans,
         "counters": counters,
         "gauges": {k: float(v) for k, v in report.get("derived", {}).items()},
-        "cache": {},
         "meta": {"source": source} if source else {},
     }
     record["run_id"] = _run_id(record)
@@ -227,7 +221,6 @@ def soak_run_record(
         },
         "counters": counters,
         "gauges": gauges,
-        "cache": {},
         "meta": {
             "source": source,
             "budgets": dict(report.get("budgets") or {}),
@@ -301,28 +294,7 @@ def validate_run_record(record: Any) -> List[str]:
         for key, value in mapping.items():
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 errors.append(f"{section}[{key!r}] must be a number")
-    cache = record.get("cache")
-    if not isinstance(cache, dict):
-        errors.append("cache must be an object")
-    else:
-        for query, stats in cache.items():
-            where = f"cache[{query!r}]"
-            if not isinstance(stats, dict):
-                errors.append(f"{where} must be an object")
-                continue
-            hits, misses = stats.get("hits"), stats.get("misses")
-            if not (isinstance(hits, int) and isinstance(misses, int)):
-                errors.append(f"{where} hits/misses must be ints")
-                continue
-            if hits < 0 or misses < 0 or hits + misses == 0:
-                errors.append(f"{where} must have non-negative, non-zero totals")
-                continue
-            rate = stats.get("hit_rate")
-            if (
-                not isinstance(rate, (int, float))
-                or abs(rate - hits / (hits + misses)) > 1e-9
-            ):
-                errors.append(f"{where}.hit_rate must equal hits/total")
+    validate_cache_map(record, "cache", errors)
     if not isinstance(record.get("meta"), dict):
         errors.append("meta must be an object")
     return errors

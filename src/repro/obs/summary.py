@@ -1,8 +1,8 @@
 """Human-readable rendering of ``repro-trace/1`` payloads.
 
 Backs ``python -m repro trace summary``: the span tree with wall/CPU
-milliseconds and attributes, the top counters, the aggregate cache table,
-and a per-worker skew line for parallel runs.  Pure formatting — the
+milliseconds and attributes, the top counters, the gauges, and a
+per-worker skew line for parallel runs.  Pure formatting — the
 payload is assumed to have passed :func:`repro.obs.validate_trace`.
 """
 
@@ -161,18 +161,6 @@ def format_trace_summary(
         lines.append("gauges:")
         for name in sorted(gauges):
             lines.append(f"  {gauges[name]:>12g}  {name}")
-
-    cache = aggregate.get("cache") or payload.get("cache", {})
-    if cache:
-        lines.append("")
-        lines.append("cache (aggregate across processes):")
-        width = max(len(q) for q in cache)
-        for query in sorted(cache):
-            stats = cache[query]
-            lines.append(
-                f"  {query:<{width}}  hits={stats['hits']:<8} "
-                f"misses={stats['misses']:<8} hit_rate={stats['hit_rate']:.3f}"
-            )
 
     workers = payload.get("workers", [])
     if workers:

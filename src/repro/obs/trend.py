@@ -3,7 +3,7 @@
 Operates on ``repro-run/1`` records from :mod:`repro.obs.store`:
 
 * :func:`format_trend` renders each metric's trajectory across runs —
-  span wall times, counters, gauges, cache hit rates — with an ASCII
+  span wall times, counters, gauges — with an ASCII
   bar per run so drift is visible in a terminal;
 * :func:`diff_records` compares two runs metric-by-metric under a
   **noise-tolerant threshold model** and classifies every delta, which
@@ -22,9 +22,7 @@ The threshold model (:class:`Thresholds`):
 * **counter tolerance** — counters (search nodes, split steps, runs)
   are deterministic for a fixed workload, so they get a separate,
   usually tighter, relative tolerance; growth beyond it means the
-  *algorithm* did more work, the strongest regression signal there is;
-* **cache tolerance** — hit rates are bounded in ``[0, 1]``, so they
-  compare by absolute drop (``cache_tolerance``), not ratio.
+  *algorithm* did more work, the strongest regression signal there is.
 
 Metrics present on only one side classify as ``new`` / ``gone`` and
 never gate — a renamed span must not masquerade as a perf win.
@@ -34,9 +32,10 @@ records — ``repro-soak/1`` ingestion attaches histogram payloads, and
 future metric kinds will add shapes this module has never seen.  Both
 :func:`diff_records` and :func:`format_trend` therefore *skip* any
 entry they don't recognize (a span without a numeric ``wall_seconds``,
-a non-numeric counter/gauge, a cache entry without ``hit_rate``, an
-unknown top-level section) instead of raising: an old CLI reading a
-newer store must keep rendering and gating what it understands.
+a non-numeric counter/gauge, an unknown top-level section such as the
+``cache`` map older records carry) instead of raising: an old CLI
+reading a newer store must keep rendering and gating what it
+understands.
 """
 
 from __future__ import annotations
@@ -56,14 +55,13 @@ class Thresholds:
     min_seconds: float = 0.05
     rel_tolerance: float = 0.25
     counter_tolerance: float = 0.10
-    cache_tolerance: float = 0.05
 
 
 @dataclass(frozen=True, slots=True)
 class Delta:
     """One metric compared across two runs."""
 
-    kind: str  # "span" | "counter" | "gauge" | "cache"
+    kind: str  # "span" | "counter" | "gauge"
     name: str
     before: Optional[float]
     after: Optional[float]
@@ -127,26 +125,6 @@ def _counter_delta(name: str, before: float, after: float, t: Thresholds) -> Del
     return Delta("counter", name, before, after, "ok", "within tolerance")
 
 
-def _cache_delta(name: str, before: float, after: float, t: Thresholds) -> Delta:
-    drop = before - after
-    if drop > t.cache_tolerance:
-        return Delta(
-            "cache",
-            name,
-            before,
-            after,
-            "regression",
-            f"hit rate {before:.3f} -> {after:.3f} "
-            f"(-{drop:.3f} > {t.cache_tolerance:.3f} absolute tolerance)",
-        )
-    if drop < -t.cache_tolerance:
-        return Delta(
-            "cache", name, before, after, "improvement",
-            f"hit rate {before:.3f} -> {after:.3f}",
-        )
-    return Delta("cache", name, before, after, "ok", "within tolerance")
-
-
 def _presence(kind: str, name: str, before, after) -> Delta:
     if before is None:
         return Delta(kind, name, None, after, "new", "not in the baseline run")
@@ -165,13 +143,6 @@ def _span_wall(entry: Any) -> Optional[float]:
     if not isinstance(entry, dict):
         return None
     return _number(entry.get("wall_seconds"))
-
-
-def _cache_rate(stats: Any) -> Optional[float]:
-    """A cache entry's hit rate, or ``None`` for an unknown kind."""
-    if not isinstance(stats, dict):
-        return None
-    return _number(stats.get("hit_rate"))
 
 
 def diff_records(
@@ -242,19 +213,6 @@ def diff_records(
             Delta("gauge", name, b_val, a_val, "ok", "informational")
         )
 
-    b_cache, a_cache = section(before, "cache"), section(after, "cache")
-    for query in sorted(set(b_cache) | set(a_cache)):
-        b_rate = _cache_rate(b_cache[query]) if query in b_cache else None
-        a_rate = _cache_rate(a_cache[query]) if query in a_cache else None
-        if (query in b_cache and b_rate is None) or (
-            query in a_cache and a_rate is None
-        ):
-            continue  # unrecognized cache-entry kind
-        if query not in b_cache or query not in a_cache:
-            deltas.append(_presence("cache", f"{query}.hit_rate", b_rate, a_rate))
-            continue
-        assert b_rate is not None and a_rate is not None
-        deltas.append(_cache_delta(f"{query}.hit_rate", b_rate, a_rate, t))
     return deltas
 
 
@@ -338,10 +296,6 @@ def _metric_series(records: List[Dict[str, Any]]) -> Dict[str, List[Optional[flo
             num = _number(value)
             if num is not None:
                 touch(f"gauge {name}")[i] = num
-        for query, stats in section(record, "cache").items():
-            rate = _cache_rate(stats)
-            if rate is not None:
-                touch(f"cache {query}.hit_rate")[i] = rate
     return {key: series[key] for key in keys}
 
 

@@ -90,21 +90,16 @@ def _rigid(image: SimplicialComplex, tau: Simplex) -> bool:
 
 
 def _incidence(inputs: SimplicialComplex) -> Tuple[Tuple[Simplex, Tuple[int, ...]], ...]:
-    """Each input simplex, in canonical order, with the indices of the facets containing it.
-
-    Built from the facets' faces rather than the memoized
-    ``inputs.simplices()``, so it leaves no query statistics behind.
-    """
-    simplices = {tau for sigma in inputs.facets for tau in sigma.faces()}
+    """Each input simplex, in canonical order, with the indices of the facets containing it."""
     return tuple(
         (tau, tuple(i for i, sigma in enumerate(inputs.facets) if tau <= sigma))
-        for tau in sorted(simplices, key=Simplex.sort_key)
+        for tau in inputs.simplices()
     )
 
 
 #: the input simplices of :func:`random_single_input_task` with their
-#: incidence.  Each task gets its own complex over them, so the query memo
-#: of a task's input complex starts empty, whatever ran before it.
+#: incidence; each task builds its own complex over them with
+#: ``from_closed``, which skips the closure pass
 _SINGLE_INCIDENCE = _incidence(single_facet_input(3, values=("x0", "x1", "x2")))
 _SINGLE_INPUT = frozenset(tau for tau, _ in _SINGLE_INCIDENCE)
 

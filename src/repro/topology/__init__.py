@@ -6,13 +6,6 @@ complexes, carrier maps, simplicial maps, subdivisions, links and homology.
 
 from . import diskstore
 from .bitcore import BitComplex
-from .cache import (
-    cache_clear,
-    cache_info,
-    caching_disabled,
-    caching_enabled,
-    set_caching,
-)
 from .carrier import CarrierMap, CarrierMapError
 from .chromatic import (
     ChromaticComplex,
@@ -107,11 +100,6 @@ __all__ = [
     "Vertex",
     "articulation_vertices",
     "barycenter",
-    "cache_clear",
-    "cache_info",
-    "caching_disabled",
-    "caching_enabled",
-    "set_caching",
     "barycentric_subdivision",
     "boundary_complex",
     "betti_numbers",

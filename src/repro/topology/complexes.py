@@ -5,13 +5,12 @@ simplices.  Construction computes the closure and the facets (maximal
 simplices); after that the complex is immutable.  All iteration orders are
 deterministic (see :func:`repro.topology.simplex.vertex_sort_key`).
 
-Because instances are immutable, every structural query is memoized through
-:mod:`repro.topology.cache`: repeated links, stars, skeleta and
-connectivity computations on the same complex are answered from
-a per-instance cache.  ``repro.topology.cache.cache_info()`` reports hit
-rates, ``cache_clear()`` invalidates everything, and the
-``caching_disabled()`` context manager bypasses the layer (the parity
-tests use it to compute the uncached result).
+Because instances are immutable, the two queries the decision procedure
+repeats on one complex keep their answer in a lazy slot: the sorted
+simplex tuple behind :meth:`SimplicialComplex.simplices` and the
+bit-packed view behind the connectivity queries.  Every other query is
+computed on each call.  The slots are process-local and start empty on
+an unpickled complex.
 """
 
 from __future__ import annotations
@@ -31,17 +30,7 @@ from typing import (
 )
 
 from . import bitcore as _bitcore
-from .cache import memoized_method
 from .simplex import Simplex, color_of, vertex_sort_key
-
-
-def _reconstruct_complex(cls, facets, name):
-    """Pickle helper: rebuild from facets (caches are not serialized).
-
-    Retained for pickles written by older versions; current pickles use
-    :func:`_restore_complex`.
-    """
-    return cls(facets, name=name)
 
 
 def _restore_complex(cls, simplices, facets, vertices, dim, name):
@@ -50,8 +39,8 @@ def _restore_complex(cls, simplices, facets, vertices, dim, name):
     Closure, facet and canonical-order computation (and, for chromatic
     subclasses, color validation) already ran in the process that pickled
     the complex; re-running them on every unpickle made loading a cached
-    subdivision tower nearly as expensive as rebuilding it.  Memo caches
-    stay process-local and start empty.
+    subdivision tower nearly as expensive as rebuilding it.  The lazy
+    slots stay process-local and start empty.
     """
     return _filled(
         cls, frozenset(simplices), tuple(facets), tuple(vertices), dim, name
@@ -72,7 +61,8 @@ def _filled(cls, simplices, facets, vertices, dim, name):
     object.__setattr__(self, "_dim", dim)
     object.__setattr__(self, "name", name)
     object.__setattr__(self, "_hash", None)
-    object.__setattr__(self, "_cache", None)
+    object.__setattr__(self, "_sorted", None)
+    object.__setattr__(self, "_bitview", None)
     return self
 
 
@@ -116,7 +106,8 @@ class SimplicialComplex:
         "_dim",
         "name",
         "_hash",
-        "_cache",
+        "_sorted",
+        "_bitview",
         "__weakref__",
     )
 
@@ -166,13 +157,14 @@ class SimplicialComplex:
         self._dim: int = max((s.dim for s in self._facets), default=-1)
         self.name = name
         self._hash: Optional[int] = None
-        self._cache = None
+        self._sorted: Optional[Tuple[Simplex, ...]] = None
+        self._bitview: Optional["_bitcore.BitComplex"] = None
 
     def __setattr__(self, name: str, value) -> None:
-        # The memoization layer (repro.topology.cache) assumes structural
-        # state never changes after construction; rebinding it would leave
-        # stale cached links/stars/components silently wrong, so the
-        # structural slots freeze after their first assignment.
+        # The lazy slots (_sorted, _bitview) and every hash-keyed store
+        # assume structural state never changes after construction;
+        # rebinding it would leave them silently wrong, so the structural
+        # slots freeze after their first assignment.
         if name in _STRUCTURAL_SLOTS:
             try:
                 object.__getattribute__(self, name)
@@ -181,7 +173,7 @@ class SimplicialComplex:
             else:
                 raise AttributeError(
                     f"{type(self).__name__}.{name} is frozen after construction "
-                    "(mutating it would desynchronize memoized queries; build a "
+                    "(mutating it would desynchronize its lazy slots; build a "
                     "new complex instead)"
                 )
         object.__setattr__(self, name, value)
@@ -298,13 +290,16 @@ class SimplicialComplex:
         """All vertices, in canonical order."""
         return self._vertices
 
-    @memoized_method
     def simplices(self, dim: Optional[int] = None) -> Tuple[Simplex, ...]:
-        """All simplices, optionally restricted to a single dimension."""
-        pool = self._simplices if dim is None else (s for s in self._simplices if s.dim == dim)
-        return tuple(sorted(pool, key=Simplex.sort_key))
+        """All simplices in canonical order, optionally of a single dimension."""
+        ordered = self._sorted
+        if ordered is None:
+            ordered = tuple(sorted(self._simplices, key=Simplex.sort_key))
+            self._sorted = ordered
+        if dim is None:
+            return ordered
+        return tuple(s for s in ordered if s.dim == dim)
 
-    @memoized_method
     def f_vector(self) -> Tuple[int, ...]:
         """``f_vector()[k]`` is the number of ``k``-dimensional simplices."""
         counts = [0] * (self.dim + 1)
@@ -316,17 +311,14 @@ class SimplicialComplex:
         """The Euler characteristic ``sum_k (-1)^k f_k``."""
         return sum((-1) ** k * f for k, f in enumerate(self.f_vector()))
 
-    @memoized_method
     def is_pure(self) -> bool:
         """True iff all facets share the top dimension."""
         return all(f.dim == self.dim for f in self._facets)
 
-    @memoized_method
     def is_chromatic(self) -> bool:
         """True iff every simplex has colored vertices with distinct colors."""
         return all(f.is_chromatic() for f in self._facets)
 
-    @memoized_method
     def colors(self) -> FrozenSet[int]:
         """All colors appearing in the complex (colorless vertices ignored)."""
         cols = set()
@@ -338,7 +330,6 @@ class SimplicialComplex:
 
     # -- subcomplexes -----------------------------------------------------------
 
-    @memoized_method
     def skeleton(self, k: int) -> "SimplicialComplex":
         """The ``k``-skeleton: all simplices of dimension at most ``k``."""
         return SimplicialComplex(
@@ -346,12 +337,10 @@ class SimplicialComplex:
             name=f"Skel^{k}({self.name})" if self.name else None,
         )
 
-    @memoized_method
     def star(self, v: Hashable) -> "SimplicialComplex":
         """The closed star of ``v``: all simplices containing ``v``, closed down."""
         return SimplicialComplex(s for s in self._simplices if v in s)
 
-    @memoized_method
     def link(self, v: Hashable) -> "SimplicialComplex":
         """The link of ``v``: ``{ s : v not in s and s + v in K }``."""
         out = []
@@ -389,10 +378,13 @@ class SimplicialComplex:
 
     # -- connectivity -------------------------------------------------------------
 
-    @memoized_method
     def _bits(self) -> "_bitcore.BitComplex":
-        """Bit-packed view of the 1- and 2-skeleton (:mod:`.bitcore`)."""
-        return _bitcore.BitComplex.from_complex(self)
+        """Bit-packed view of the 1- and 2-skeleton (:mod:`.bitcore`), built once."""
+        bits = self._bitview
+        if bits is None:
+            bits = _bitcore.BitComplex.from_complex(self)
+            self._bitview = bits
+        return bits
 
     def adjacency(self) -> Dict[Hashable, Tuple[Hashable, ...]]:
         """The 1-skeleton as ``{vertex: neighbours}``, both in canonical order.
@@ -403,12 +395,10 @@ class SimplicialComplex:
         bits = self._bits()
         return {v: bits.members(bits.adj[i]) for i, v in enumerate(bits.verts)}
 
-    @memoized_method
     def is_connected(self) -> bool:
         """Graph connectivity of the 1-skeleton (empty complex counts as connected)."""
         return self._bits().is_connected()
 
-    @memoized_method
     def connected_components(self) -> Tuple[FrozenSet[Hashable], ...]:
         """Vertex sets of the connected components, in deterministic order."""
         return self._bits().connected_components()
@@ -420,7 +410,6 @@ class SimplicialComplex:
                 return comp
         raise KeyError(f"{v!r} is not a vertex of {self!r}")
 
-    @memoized_method
     def is_link_connected(self) -> bool:
         """True iff the link of every vertex is a connected complex.
 

@@ -26,9 +26,8 @@ cache:
   obs diff`` can lock cache effectiveness in against committed
   baselines.
 
-The store piggybacks on the in-memory cache switch: inside
-``caching_disabled()`` blocks (how benchmarks measure honest uncached
-baselines) the disk layer is bypassed too.
+:func:`store_disabled` (or ``REPRO_TOWER_CACHE=off``) is the one way to
+run with the store off, for instance to measure an uncached baseline.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ import warnings
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
+from ..obs import counter_add
 from ..service.keys import content_hash
-from .cache import caching_enabled
 
 #: exception types that mean "this entry's bytes are bad" — a torn or
 #: truncated pickle, garbage data, or a pickle referencing a class/field
@@ -64,13 +63,6 @@ _CORRUPTION_ERRORS = (
 #: exception types that mean "this object cannot be pickled" on store
 _UNPICKLABLE_ERRORS = (pickle.PicklingError, AttributeError, TypeError)
 
-
-def _count(name: str) -> None:
-    # deferred import: repro.obs pulls in topology.cache during its own
-    # initialization, so importing counter_add at module scope would cycle
-    from ..obs import counter_add
-
-    counter_add(name)
 
 #: environment variable naming the store directory (or disabling the store)
 ENV_VAR = "REPRO_TOWER_CACHE"
@@ -106,15 +98,10 @@ def resolve_store_dir(path: Optional[str] = None) -> Optional[str]:
 def store_enabled() -> bool:
     """Whether loads/stores are live right now.
 
-    False when programmatically disabled, when ``REPRO_TOWER_CACHE`` is an
-    off-value, or inside ``caching_disabled()`` (uncached benchmarks must
-    not be quietly served from disk).
+    False inside :func:`store_disabled` or when ``REPRO_TOWER_CACHE`` is
+    an off-value.
     """
-    if not _enabled:
-        return False
-    if not caching_enabled():
-        return False
-    return resolve_store_dir() is not None
+    return _enabled and resolve_store_dir() is not None
 
 
 def set_store(enabled: bool) -> bool:
@@ -223,10 +210,10 @@ def load(namespace: str, key: str, root: Optional[str] = None) -> Optional[Any]:
         with open(path, "rb") as fh:
             obj = pickle.load(fh)
     except FileNotFoundError:
-        _count(f"diskstore.{namespace}.miss")
+        counter_add(f"diskstore.{namespace}.miss")
         return None
     except OSError as exc:
-        _count(f"diskstore.{namespace}.io_error")
+        counter_add(f"diskstore.{namespace}.io_error")
         warnings.warn(
             f"diskstore: cannot read {path}: {exc} (entry kept; treating "
             "as a miss)",
@@ -235,13 +222,13 @@ def load(namespace: str, key: str, root: Optional[str] = None) -> Optional[Any]:
         )
         return None
     except _CORRUPTION_ERRORS:
-        _count(f"diskstore.{namespace}.corrupt")
+        counter_add(f"diskstore.{namespace}.corrupt")
         try:
             os.remove(path)
         except OSError:  # pragma: no cover - racing removers
             pass
         return None
-    _count(f"diskstore.{namespace}.hit")
+    counter_add(f"diskstore.{namespace}.hit")
     return obj
 
 
@@ -265,7 +252,7 @@ def store(namespace: str, key: str, obj: Any, root: Optional[str] = None) -> Opt
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     except OSError as exc:
-        _count(f"diskstore.{namespace}.io_error")
+        counter_add(f"diskstore.{namespace}.io_error")
         warnings.warn(
             f"diskstore: cannot write under {directory}: {exc}",
             RuntimeWarning,
@@ -278,7 +265,7 @@ def store(namespace: str, key: str, obj: Any, root: Optional[str] = None) -> Opt
         os.replace(tmp, path)
     except OSError as exc:
         _discard(tmp)
-        _count(f"diskstore.{namespace}.io_error")
+        counter_add(f"diskstore.{namespace}.io_error")
         warnings.warn(
             f"diskstore: cannot write {path}: {exc}",
             RuntimeWarning,
@@ -287,14 +274,14 @@ def store(namespace: str, key: str, obj: Any, root: Optional[str] = None) -> Opt
         return None
     except _UNPICKLABLE_ERRORS:
         _discard(tmp)
-        _count(f"diskstore.{namespace}.unpicklable")
+        counter_add(f"diskstore.{namespace}.unpicklable")
         return None
     except BaseException:
         # a programming error (or KeyboardInterrupt) mid-write must not
         # leak the temp file, and must not be swallowed either
         _discard(tmp)
         raise
-    _count(f"diskstore.{namespace}.write")
+    counter_add(f"diskstore.{namespace}.write")
     return path
 
 

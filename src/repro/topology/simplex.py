@@ -31,8 +31,6 @@ import itertools
 import weakref
 from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator, Optional, Tuple
 
-from . import cache as _cache
-
 
 def vertex_sort_key(v: Hashable) -> Tuple:
     """A deterministic sort key usable for arbitrary hashable vertices.
@@ -158,7 +156,7 @@ class Simplex:
 
     def __new__(cls, vertices: Iterable[Hashable]):
         vs = vertices if type(vertices) is frozenset else frozenset(vertices)
-        interned = cls is Simplex and _cache._enabled
+        interned = cls is Simplex
         if interned:
             cached = _INTERN.get(vs)
             if cached is not None:

@@ -2,7 +2,7 @@
 
 Each snippet is linted as if it lived at a given relative path inside
 ``src/repro`` — the rules are path-scoped, so the same source can be
-legal in ``topology/cache.py`` and a violation in ``analysis/census.py``.
+legal in ``topology/simplex.py`` and a violation in ``analysis/census.py``.
 """
 
 import textwrap
@@ -42,74 +42,6 @@ class TestRC401InternedMutation:
 
     def test_unrelated_attribute_ok(self):
         assert lint("def f(x):\n    x.payload = 3\n") == []
-
-
-class TestRC402CachePrivacy:
-    def test_cache_slot_read_fires(self):
-        diags = lint("def f(s):\n    return s._cache\n")
-        assert codes_of(diags) == ["RC402"]
-
-    def test_cache_slot_write_fires(self):
-        diags = lint("def f(s):\n    s._cache = None\n")
-        assert codes_of(diags) == ["RC402"]
-
-    def test_private_import_fires(self):
-        diags = lint("from repro.topology.cache import _stats\n")
-        assert codes_of(diags) == ["RC402"]
-
-    def test_module_private_access_fires(self):
-        diags = lint(
-            """
-            from repro.topology import cache
-            def f():
-                return cache._epoch
-            """
-        )
-        assert codes_of(diags) == ["RC402"]
-
-    def test_public_cache_api_ok(self):
-        src = """
-        from repro.topology.cache import cache_info, caching_disabled
-        def f():
-            return cache_info()
-        """
-        assert lint(src) == []
-
-    def test_allowed_in_cache_module(self):
-        assert lint("def f(s):\n    return s._cache\n", relpath="topology/cache.py") == []
-
-
-class TestRC403DisabledCacheQuery:
-    def test_memoized_call_in_disabled_block_fires(self):
-        diags = lint(
-            """
-            from repro.topology.cache import caching_disabled
-            def f(cx):
-                with caching_disabled():
-                    return cx.is_link_connected()
-            """
-        )
-        assert codes_of(diags) == ["RC403"]
-        assert "is_link_connected" in diags[0].message
-
-    def test_call_after_block_ok(self):
-        src = """
-        from repro.topology.cache import caching_disabled
-        def f(cx):
-            with caching_disabled():
-                pass
-            return cx.is_link_connected()
-        """
-        assert lint(src) == []
-
-    def test_non_memoized_call_inside_ok(self):
-        src = """
-        from repro.topology.cache import caching_disabled
-        def f(cx):
-            with caching_disabled():
-                return cx.euler_characteristic()
-        """
-        assert lint(src) == []
 
 
 class TestRC404FrozenConformance:

@@ -48,7 +48,6 @@ _DISKSTORE = """
 def test_boundary_classification():
     assert boundary_effect("repro.obs.recorder") == "obs"
     assert boundary_effect("repro.topology.diskstore") == "diskstore"
-    assert boundary_effect("repro.topology.cache") == "memo-cache"
     assert boundary_effect("repro.solvability.decision") is None
 
 
@@ -117,13 +116,11 @@ def test_unseeded_rng_under_memoized_entry_is_rc501(tmp_path):
         tmp_path,
         {
             "mod.py": """
+                import functools
                 import random
 
-                def memoized_method(fn):
-                    return fn
-
                 class Table:
-                    @memoized_method
+                    @functools.lru_cache(maxsize=None)
                     def lookup(self, key):
                         return random.random() + key
             """,
@@ -369,10 +366,7 @@ def test_live_entry_points_include_the_caching_layers():
     entries = analysis.entry_points
     assert entries.get("repro.analysis.census.decide_class") == "persisted"
     assert entries.get("repro.topology.subdivision.SubdivisionTower.level") == "persisted"
-    assert (
-        entries.get("repro.topology.complexes.SimplicialComplex.is_link_connected")
-        == "memoized"
-    )
+    assert entries.get("repro.topology.homology.ChainBasis.positions") == "memoized"
     assert "repro.analysis.corpus._shard_worker" in analysis.worker_entries
     assert "repro.runtime.conformance._conform_entry" in analysis.worker_entries
 

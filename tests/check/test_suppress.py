@@ -14,13 +14,13 @@ def test_find_suppressions_parses_single_and_multiple_codes():
     source = textwrap.dedent(
         """
         x = 1  # repro: ignore[RC401]
-        y = 2  # repro: ignore[RC402, RC405]
+        y = 2  # repro: ignore[RC404, RC405]
         z = 3
         """
     )
     supp = find_suppressions(source)
     assert supp[2] == {"RC401"}
-    assert supp[3] == {"RC402", "RC405"}
+    assert supp[3] == {"RC404", "RC405"}
     assert 4 not in supp
 
 
@@ -29,7 +29,7 @@ def test_suppressions_in_strings_and_docstrings_are_ignored():
         '''
         def f():
             """Write `# repro: ignore[RC401]` on the flagged line."""
-            s = "# repro: ignore[RC402]"
+            s = "# repro: ignore[RC404]"
             return s
         '''
     )
@@ -63,13 +63,13 @@ def test_apply_suppressions_drops_only_matching_line_and_code():
 
     diags = [
         Diagnostic(code="RC401", message="m", subject="s", location="f.py:2:1"),
-        Diagnostic(code="RC402", message="m", subject="s", location="f.py:2:1"),
+        Diagnostic(code="RC404", message="m", subject="s", location="f.py:2:1"),
         Diagnostic(code="RC401", message="m", subject="s", location="f.py:5:1"),
         Diagnostic(code="RC101", message="m", subject="s"),  # no location
     ]
     kept, dropped = apply_suppressions(diags, {2: {"RC401"}})
     assert dropped == 1
-    assert [d.code for d in kept] == ["RC402", "RC401", "RC101"]
+    assert [d.code for d in kept] == ["RC404", "RC401", "RC101"]
 
 
 # -- astlint integration ----------------------------------------------------

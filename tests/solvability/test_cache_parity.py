@@ -1,17 +1,19 @@
 """The decision procedure must be bit-identical with caching on and off.
 
-Interned simplices, memoized complex queries and the subdivision tower are
-pure performance machinery; if any of them changed a verdict, a witness
-depth, an obstruction kind or a split count, the caching layer would be
-*wrong*, not just stale.  This suite decides representative zoo tasks both
-ways and compares everything observable.
+The persistent store (:mod:`repro.topology.diskstore`: subdivision towers
+and link-connected transforms) is pure performance machinery; if loading
+from it changed a verdict, a witness depth, an obstruction kind or a
+split count, the store would be *wrong*, not just stale.  This suite
+decides representative zoo tasks from a cold store, from the warm store
+that run left behind, and with the store off, and compares everything
+observable.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import decide_solvability
+from repro import decide_solvability, obs
 from repro.tasks.zoo import (
     hourglass_task,
     identity_task,
@@ -20,7 +22,7 @@ from repro.tasks.zoo import (
     pinwheel_task,
     two_process_fork_task,
 )
-from repro.topology import cache_clear, caching_disabled
+from repro.topology import diskstore
 
 ZOO = [
     ("majority", majority_consensus_task, 1),
@@ -54,11 +56,27 @@ def _fingerprint(verdict):
     }
 
 
+def _traced(counter_suffix, make, rounds):
+    """Decide traced; returns (fingerprint, sum of diskstore ``*.suffix`` counters)."""
+    obs.reset_recorder()
+    with obs.tracing() as rec:
+        fingerprint = _fingerprint(decide_solvability(make(), max_rounds=rounds))
+    total = sum(
+        v
+        for k, v in rec.counters.items()
+        if k.startswith("diskstore.") and k.endswith(counter_suffix)
+    )
+    obs.reset_recorder()  # later tests read absolute counters
+    return fingerprint, total
+
+
 @pytest.mark.parametrize("name,make,rounds", ZOO, ids=[z[0] for z in ZOO])
-def test_verdict_parity_caching_on_off(name, make, rounds):
-    cache_clear()
-    with caching_disabled():
-        baseline = _fingerprint(decide_solvability(make(), max_rounds=rounds))
-    cache_clear()
-    cached = _fingerprint(decide_solvability(make(), max_rounds=rounds))
-    assert cached == baseline
+def test_verdict_parity_caching_on_off(name, make, rounds, tmp_path):
+    with diskstore.store_at(str(tmp_path / "store")):
+        cold, writes = _traced(".write", make, rounds)
+        warm, hits = _traced(".hit", make, rounds)
+        with diskstore.store_disabled():
+            off = _fingerprint(decide_solvability(make(), max_rounds=rounds))
+    # whatever the cold decide stored, the warm one read back
+    assert (hits > 0) == (writes > 0)
+    assert cold == warm == off

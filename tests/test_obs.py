@@ -19,7 +19,6 @@ from repro.obs import (
     format_trace_summary,
     gauge_set,
     get_recorder,
-    merge_cache_maps,
     merge_worker_snapshot,
     reset_recorder,
     set_tracing,
@@ -29,7 +28,6 @@ from repro.obs import (
     validate_trace,
     write_trace,
 )
-from repro.topology import cache_clear
 
 
 @pytest.fixture(autouse=True)
@@ -138,68 +136,6 @@ class TestRecording:
         old = reset_recorder()
         assert old.counters == {"kept": 1.0}
         assert get_recorder().counters == {}
-
-
-class TestCacheDelta:
-    def test_own_cache_is_delta_since_recorder_creation(self):
-        from repro.topology.complexes import SimplicialComplex
-
-        cache_clear()
-        warm = SimplicialComplex([("a", "b", "c")])
-        warm.f_vector()  # pre-recorder activity must not be attributed
-        rec = reset_recorder()  # noqa: F841 - fresh baseline from here on
-        k = SimplicialComplex([("x", "y", "z")])
-        k.f_vector()
-        k.f_vector()
-        own = get_recorder().own_cache()
-        stats = own["SimplicialComplex.f_vector"]
-        assert stats == {"hits": 1, "misses": 1, "hit_rate": 0.5}
-        cache_clear()
-
-    def test_cache_clear_mid_run_never_goes_negative(self):
-        from repro.topology.complexes import SimplicialComplex
-
-        cache_clear()
-        reset_recorder()
-        k = SimplicialComplex([("x", "y", "z")])
-        k.f_vector()
-        cache_clear()  # raw counters reset below the recorder's baseline
-        own = get_recorder().own_cache()
-        for stats in own.values():
-            assert stats["hits"] >= 0 and stats["misses"] >= 0
-
-    def test_cache_clear_after_reset_still_counts_later_lookups(self):
-        # regression: cache_clear zeroed the counters the recorder had
-        # taken its baseline from, and the delta, clamped at zero, hid
-        # every lookup made after the clear
-        from repro.solvability import decide_solvability
-        from repro.tasks.zoo.random_tasks import random_single_input_task
-        from repro.topology import cache_info, diskstore
-
-        def decide():
-            with diskstore.store_disabled():
-                decide_solvability(random_single_input_task(2), max_rounds=1)
-
-        decide()  # the recorder's baseline now exceeds one decide's lookups
-        reset_recorder()
-        cache_clear()
-        decide()
-        expected = {
-            name: {"hits": s["hits"], "misses": s["misses"], "hit_rate": s["hit_rate"]}
-            for name, s in cache_info().items()
-        }
-        assert expected
-        assert get_recorder().own_cache() == expected
-        cache_clear()
-
-    def test_merge_cache_maps_sums_and_recomputes_rate(self):
-        merged = merge_cache_maps(
-            {"q": {"hits": 1, "misses": 3, "hit_rate": 0.25}},
-            {"q": {"hits": 3, "misses": 1, "hit_rate": 0.75}},
-            {"other": {"hits": 2, "misses": 0, "hit_rate": 1.0}},
-        )
-        assert merged["q"] == {"hits": 4, "misses": 4, "hit_rate": 0.5}
-        assert merged["other"]["hits"] == 2
 
 
 class TestGaugePolicies:
@@ -386,25 +322,29 @@ class TestExport:
             lambda p: p["spans"][0]["children"][0].update(cpu_seconds="fast"),
             lambda p: p.update(counters={"x": "NaN-ish"}),
             lambda p: p["workers"][0].update(worker="pid"),
-            lambda p: p["workers"][0]["cache"].update(
-                q={"hits": -1, "misses": 0, "hit_rate": 0.0}
+            lambda p: p["workers"][0].update(
+                cache={"q": {"hits": -1, "misses": 0, "hit_rate": 0.0}}
             ),
             lambda p: p["aggregate"]["counters"].update(splits=99.0),
-            lambda p: p["aggregate"].pop("cache"),
+            lambda p: p.update(cache="not-an-object"),
         ):
             payload = json.loads(json.dumps(good))
             mutate(payload)
             assert validate_trace(payload) != [], mutate
 
-    def test_validate_trace_rejects_drifted_cache_aggregate(self):
+    def test_validate_trace_accepts_an_older_cache_section(self):
+        # traces written while the per-instance query memo existed carry a
+        # cache map at the top level, per worker and in the aggregate
         payload = json.loads(json.dumps(_recorded_trace()))
-        payload["workers"][0]["cache"]["phantom"] = {
-            "hits": 5,
-            "misses": 5,
-            "hit_rate": 0.5,
-        }
-        problems = validate_trace(payload)
-        assert any("aggregate.cache" in p for p in problems)
+        assert "cache" not in payload and "cache" not in payload["aggregate"]
+        stats = {"SimplicialComplex.simplices": {"hits": 3, "misses": 1, "hit_rate": 0.75}}
+        for owner in (payload, payload["aggregate"], *payload["workers"]):
+            owner["cache"] = json.loads(json.dumps(stats))
+        assert validate_trace(payload) == []
+        payload["aggregate"]["cache"]["SimplicialComplex.simplices"]["hit_rate"] = 0.5
+        assert validate_trace(payload) == [
+            "aggregate.cache['SimplicialComplex.simplices'].hit_rate must equal hits/total"
+        ]
 
 
 class TestSummary:

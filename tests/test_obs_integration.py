@@ -5,9 +5,8 @@ Two guarantees are pinned here:
 * a traced ``decide_solvability`` produces a schema-valid ``repro-trace/1``
   payload whose span tree covers the pipeline stages (transform,
   obstruction checks, witness search);
-* a pooled corpus run reports the **same** aggregate counters and cache
-  hit/miss totals as the serial run on the same workload — the
-  cross-process merge that motivated the whole layer (worker counters
+* a pooled corpus run reports the **same** aggregate counters and gauge
+  names as the serial run on the same workload — the cross-process merge that motivated the whole layer (worker counters
   used to vanish with the worker process).
 """
 
@@ -22,18 +21,16 @@ from repro.tasks.zoo import (
     majority_consensus_task,
     pinwheel_task,
 )
-from repro.topology import cache_clear, diskstore
+from repro.topology import diskstore
 
 
 @pytest.fixture(autouse=True)
 def _clean_recorder():
     obs.set_tracing(False)
     obs.reset_recorder()
-    cache_clear()
     yield
     obs.set_tracing(False)
     obs.reset_recorder()
-    cache_clear()
 
 
 def _traced_decide(task, max_rounds=2):
@@ -131,20 +128,18 @@ CORPUS = CorpusConfig(0, 6, shards=2)
 
 
 def _census_aggregates(workers, root):
-    """Run the same traced corpus; returns (census, counters, cache, gauges).
+    """Run the same traced corpus; returns (census, counters, gauges).
 
     The store is off: with a shared store, which pool worker decides a
     class first (and so which lookups miss) depends on scheduling.
     """
     obs.reset_recorder()
-    cache_clear()
     with diskstore.store_disabled(), obs.tracing():
         census = run_corpus(CORPUS, str(root), workers=workers).census
     recorder = obs.get_recorder()
     return (
         census.as_tuple(),
         recorder.aggregate_counters(),
-        recorder.aggregate_cache(),
         recorder.aggregate_gauges(),
     )
 
@@ -152,24 +147,15 @@ def _census_aggregates(workers, root):
 class TestParallelAggregation:
     def test_workers_counters_match_serial(self, tmp_path):
         # regression: before the worker-snapshot merge, the parallel run's
-        # recorder was empty — every counter and cache hit accumulated in
-        # the pool workers was lost with the worker process.
-        serial_census, serial_counters, serial_cache, _ = _census_aggregates(
-            1, tmp_path / "serial"
-        )
-        parallel_census_t, parallel_counters, parallel_cache, _ = _census_aggregates(
+        # recorder was empty — every counter accumulated in the pool
+        # workers was lost with the worker process.
+        serial_census, serial_counters, _ = _census_aggregates(1, tmp_path / "serial")
+        parallel_census_t, parallel_counters, _ = _census_aggregates(
             2, tmp_path / "parallel"
         )
         assert parallel_census_t == serial_census
         assert parallel_counters == serial_counters
         assert parallel_counters["corpus.tasks"] == 6.0
-        # cache hit/miss totals agree query-by-query across process counts
-        assert set(parallel_cache) == set(serial_cache)
-        for query in serial_cache:
-            assert parallel_cache[query]["hits"] == serial_cache[query]["hits"]
-            assert (
-                parallel_cache[query]["misses"] == serial_cache[query]["misses"]
-            )
 
     def test_workers_gauge_aggregates_match_serial(self, tmp_path):
         # every shard sets its rate gauge; the pool's merge must keep the
@@ -182,7 +168,6 @@ class TestParallelAggregation:
 
     def test_parallel_trace_carries_worker_snapshots(self, tmp_path):
         obs.reset_recorder()
-        cache_clear()
         with obs.tracing():
             run_corpus(CORPUS, str(tmp_path / "corpus"), workers=2)
         payload = obs.build_trace(meta={"command": "census"})

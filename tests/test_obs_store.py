@@ -40,7 +40,7 @@ def _clean_recorder():
     obs.reset_recorder()
 
 
-def _trace_payload(wall: float = 0.5, hits: int = 8, misses: int = 2):
+def _trace_payload(wall: float = 0.5):
     """A hand-built, schema-light trace payload for record condensation."""
     return {
         "schema": obs.SCHEMA,
@@ -56,13 +56,6 @@ def _trace_payload(wall: float = 0.5, hits: int = 8, misses: int = 2):
         "aggregate": {
             "counters": {"decide.splits": 42.0},
             "gauges": {"census.max_splits": 3.0},
-            "cache": {
-                "is_simplex": {
-                    "hits": hits,
-                    "misses": misses,
-                    "hit_rate": hits / (hits + misses),
-                }
-            },
         },
     }
 
@@ -84,7 +77,7 @@ class TestRunRecord:
         assert record["spans"]["decide"]["count"] == 1
         assert record["counters"] == {"decide.splits": 42.0}
         assert record["gauges"] == {"census.max_splits": 3.0}
-        assert record["cache"]["is_simplex"]["hit_rate"] == 0.8
+        assert "cache" not in record
         assert record["host"]["hostname"]
 
     def test_run_id_is_a_content_hash(self):
@@ -113,8 +106,10 @@ class TestRunRecord:
             lambda r: r["spans"]["decide"].update(wall_seconds=-1.0),
             lambda r: r["spans"]["decide"].update(count=0),
             lambda r: r["counters"].update(bad=True),
-            lambda r: r["cache"]["is_simplex"].update(hit_rate=0.5),
-            lambda r: r["cache"]["is_simplex"].update(hits=-1),
+            # the cache map records written before the memo's removal carry
+            lambda r: r.update(cache=[]),
+            lambda r: r.update(cache={"q": {"hits": 8, "misses": 2, "hit_rate": 0.5}}),
+            lambda r: r.update(cache={"q": {"hits": -1, "misses": 2, "hit_rate": 0.0}}),
             lambda r: r.update(meta=None),
         ):
             record = json.loads(json.dumps(good))
@@ -263,21 +258,16 @@ class TestDiff:
         bad = regressions(diff_records(before, after))
         assert [d.name for d in bad] == ["decide.splits"]
 
-    def test_cache_hit_rate_drop_is_absolute(self):
-        before = build_run_record(
-            _trace_payload(hits=8, misses=2), command="decide"
-        )
-        after = build_run_record(
-            _trace_payload(hits=5, misses=5), command="decide"
-        )
-        bad = regressions(diff_records(before, after))
-        assert [d.name for d in bad] == ["is_simplex.hit_rate"]
-        # and a drop within tolerance passes
-        ok = diff_records(
-            before,
-            build_run_record(_trace_payload(hits=78, misses=22), command="decide"),
-        )
-        assert regressions(ok) == []
+    def test_older_cache_sections_neither_diff_nor_gate(self):
+        # records written while the per-instance query memo existed carry
+        # hit rates; they still validate but no longer compare
+        before, after = _record(), _record()
+        before["cache"] = {"q": {"hits": 9, "misses": 1, "hit_rate": 0.9}}
+        after["cache"] = {"q": {"hits": 1, "misses": 9, "hit_rate": 0.1}}
+        assert validate_run_record(before) == validate_run_record(after) == []
+        deltas = diff_records(before, after)
+        assert regressions(deltas) == []
+        assert {d.kind for d in deltas} == {"span", "counter", "gauge"}
 
     def test_new_and_gone_metrics_never_gate(self):
         before, after = _record(), _record()
@@ -327,7 +317,7 @@ class TestForwardCompat:
         record["spans"]["soak_latency"] = {"buckets": [[0.001, 5]], "count": 5}
         record["counters"]["soak.requests.by_op"] = {"decide": 3, "verify": 1}
         record["gauges"]["soak.passed_flag"] = True  # bools are not numbers
-        record["cache"]["future_cache"] = {"hits": 3}  # no hit_rate
+        record["cache"] = {"future_cache": {"hits": 3}}  # no hit_rate
         record["histograms"] = [{"name": "soak_latency", "buckets": []}]
         return record
 
@@ -356,7 +346,7 @@ class TestForwardCompat:
         after["spans"] = "opaque blob"
         after["cache"] = None
         deltas = diff_records(before, after)
-        # everything in before's spans/cache now reads as "gone" — which
+        # everything in before's spans now reads as "gone" — which
         # never gates — and nothing raises
         assert regressions(deltas) == []
 
@@ -380,8 +370,9 @@ class TestTrend:
 
     def test_metric_substring_filter(self):
         records = [_record()]
-        text = format_trend(records, metric="hit_rate")
-        assert "is_simplex.hit_rate" in text
+        text = format_trend(records, metric="splits")
+        assert "counter decide.splits" in text
+        assert "gauge census.max_splits" in text
         assert "decide.wall_seconds" not in text
         assert "no metric matches" in format_trend(records, metric="nonesuch")
 

@@ -21,7 +21,6 @@ from repro.tasks.zoo.random_tasks import (
     random_single_input_task,
     random_sparse_task,
 )
-from repro.topology import cache_clear
 from repro.topology.bitcore import BitComplex, gf2_rank, gf2_solve, pack_rows
 from repro.topology.complexes import SimplicialComplex
 from repro.topology.homology import (
@@ -177,5 +176,4 @@ def _verdict_fingerprint(task, max_rounds=1):
 def test_decision_verdict_parity(generator, seed):
     # the verdict every one of these tasks got while a second, object-based
     # engine still cross-checked the packed kernels
-    cache_clear()
     assert _verdict_fingerprint(generator(seed)) == (Status.SOLVABLE, 0, None)

@@ -1,8 +1,10 @@
-"""The caching layer: interning, memoized queries, and the control surface.
+"""The in-process caching of the topology core: interning and lazy slots.
 
-The invariant under test everywhere: caching is an implementation detail —
-every query answers identically with the layer on, off, or cleared
-mid-stream.
+Simplices are interned, and a complex keeps two answers in lazy slots: its
+sorted simplex tuple (``simplices()``) and its bit-packed view
+(``_bits()``).  The invariant under test: both are implementation details —
+every query answers exactly as a from-scratch computation would, on a
+fresh complex and on an unpickled one.
 """
 
 from __future__ import annotations
@@ -13,26 +15,8 @@ import pickle
 import pytest
 
 from repro.tasks.zoo import hourglass_task, majority_consensus_task
-from repro.topology import (
-    SimplicialComplex,
-    cache_clear,
-    cache_info,
-    caching_disabled,
-    caching_enabled,
-    chromatic_subdivision,
-    set_caching,
-)
+from repro.topology import BitComplex, SimplicialComplex, chromatic_subdivision
 from repro.topology.simplex import Simplex, Vertex, chrom
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    """Each test starts from a cleared cache and restores the global flag."""
-    cache_clear()
-    was = caching_enabled()
-    yield
-    set_caching(was)
-    cache_clear()
 
 
 def _example_complexes():
@@ -53,13 +37,6 @@ def test_interning_returns_identical_objects():
     assert a is b
 
 
-def test_interning_disabled_gives_fresh_objects():
-    with caching_disabled():
-        a = Simplex([Vertex(0, "x")])
-        b = Simplex([Vertex(0, "x")])
-        assert a == b and a is not b
-
-
 def test_pickle_roundtrip_reinterns():
     s = chrom((0, "x"), (1, "y"), (2, "z"))
     clone = pickle.loads(pickle.dumps(s))
@@ -78,13 +55,13 @@ def test_vertex_copy_identity():
     assert pickle.loads(pickle.dumps(v)) == v
 
 
-# -- memoized queries answer exactly like the uncached layer -------------------
+# -- the lazy slots answer exactly like a from-scratch computation --------------
 
 
 def _query_snapshot(k: SimplicialComplex):
     return {
         "simplices": k.simplices(),
-        "edges": k.simplices(dim=1),
+        "by_dim": tuple(k.simplices(d) for d in range(-1, k.dim + 2)),
         "f_vector": k.f_vector(),
         "is_pure": k.is_pure(),
         "is_chromatic": k.is_chromatic(),
@@ -96,72 +73,41 @@ def _query_snapshot(k: SimplicialComplex):
         "is_connected": k.is_connected(),
         "components": k.connected_components(),
         "is_link_connected": k.is_link_connected(),
+        "link_components": {v: k.link_components(v) for v in k.vertices},
     }
 
 
 @pytest.mark.parametrize("idx", range(4))
 def test_memoized_queries_match_uncached(idx):
     k = _example_complexes()[idx]
-    cached_first = _query_snapshot(k)
-    cached_second = _query_snapshot(k)  # answered from the cache
-    with caching_disabled():
-        uncached = _query_snapshot(k)
-    assert cached_first == cached_second == uncached
-
-
-def test_queries_survive_cache_clear():
-    k = hourglass_task().output_complex
-    before = _query_snapshot(k)
-    cache_clear()
-    assert _query_snapshot(k) == before
-
-
-# -- the control surface -------------------------------------------------------
-
-
-FV = "SimplicialComplex.f_vector"
-
-
-def test_cache_info_reports_hits_and_misses():
-    cache_clear()
-    k = _example_complexes()[3]
-    k.f_vector()
-    info = cache_info()
-    assert info[FV]["misses"] == 1
-    assert info[FV]["hits"] == 0
-    k.f_vector()
-    k.f_vector()
-    info = cache_info()
-    assert info[FV]["hits"] == 2
-    assert 0.0 < info[FV]["hit_rate"] < 1.0
-
-
-def test_cache_clear_resets_stats_and_invalidates():
-    k = _example_complexes()[3]
-    k.is_pure()
-    k.is_pure()
-    assert cache_info()["SimplicialComplex.is_pure"]["hits"] >= 1
-    cache_clear()
-    assert cache_info() == {}  # unexercised queries are omitted
-    k.is_pure()  # epoch bumped: recomputed, not served stale
-    assert cache_info()["SimplicialComplex.is_pure"]["misses"] == 1
+    fresh = tuple(sorted(k._simplices, key=Simplex.sort_key))
+    assert k.simplices() == fresh
+    assert k.simplices() is k.simplices()  # the second call reads the slot
+    for d in range(-1, k.dim + 2):
+        assert k.simplices(d) == tuple(s for s in fresh if s.dim == d)
+        assert k.simplices(dim=d) == tuple(
+            sorted((s for s in k._simplices if s.dim == d), key=Simplex.sort_key)
+        )
+    bits = BitComplex.from_complex(k)
+    assert k.connected_components() == bits.connected_components()
+    assert k.is_connected() == bits.is_connected()
+    assert k.is_link_connected() == bits.is_link_connected()
 
 
 def test_per_instance_caches_are_isolated():
-    a = SimplicialComplex([("a", "b")])
-    b = SimplicialComplex([("a", "b")])
+    a = SimplicialComplex([("a", "b"), ("b", "c")])
+    b = SimplicialComplex([("a", "b"), ("b", "c")])
     assert a == b
-    a.f_vector()
-    info = cache_info()
-    b.f_vector()  # equal but distinct instance: its own miss
-    assert cache_info()[FV]["misses"] == info[FV]["misses"] + 1
+    assert a._bits() is a._bits()  # built once, then read from the slot
+    assert b._bits() is not a._bits()  # an equal instance keeps its own view
+    assert a.simplices() == b.simplices()
+    assert a.simplices() is not b.simplices()
 
 
-def test_caching_disabled_is_reentrant_and_restores():
-    assert caching_enabled()
-    with caching_disabled():
-        assert not caching_enabled()
-        with caching_disabled():
-            assert not caching_enabled()
-        assert not caching_enabled()
-    assert caching_enabled()
+@pytest.mark.parametrize("idx", range(4))
+def test_unpickled_complex_answers_every_query_alike(idx):
+    k = _example_complexes()[idx]
+    before = _query_snapshot(k)  # fills k's slots before it is pickled
+    clone = pickle.loads(pickle.dumps(k))
+    assert clone._sorted is None and clone._bitview is None  # slots start empty
+    assert _query_snapshot(clone) == before

@@ -2,9 +2,8 @@
 
 :mod:`repro.topology.diskstore` is an accelerator, never a correctness
 dependency: everything it serves must be byte-equal (as mathematics) to a
-fresh recomputation, corruption must heal silently, and every disable
-switch — programmatic, environment, or the in-memory caching gate — must
-bypass it completely.
+fresh recomputation, corruption must heal silently, and both disable
+switches — programmatic and environment — must bypass it completely.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from repro.analysis import CorpusConfig, run_corpus
 from repro.obs import tracing
 from repro.splitting.pipeline import TransformResult, link_connected_form
 from repro.tasks.zoo.random_tasks import random_single_input_task
-from repro.topology import cache_clear, caching_disabled, diskstore
+from repro.topology import diskstore
 from repro.topology.complexes import SimplicialComplex
 from repro.topology.subdivision import SubdivisionTower, barycentric_subdivision
 
@@ -72,11 +71,6 @@ class TestResolution:
             assert diskstore.load("tower", "anykey") is None
             assert diskstore.store("tower", "anykey", object()) is None
         assert diskstore.store_enabled()
-
-    def test_caching_disabled_bypasses_the_disk_too(self, store):
-        # uncached benchmark baselines must not be quietly served from disk
-        with caching_disabled():
-            assert not diskstore.store_enabled()
 
     def test_set_store_returns_previous(self, store):
         assert diskstore.set_store(False) is True
@@ -161,7 +155,6 @@ class TestPipelineCaches:
     def test_transform_round_trip(self, store):
         task = random_single_input_task(3)
         cold = link_connected_form(task)
-        cache_clear()
         with tracing() as rec:
             before = rec.counters.get("diskstore.transform.hit", 0)
             warm = link_connected_form(random_single_input_task(3))
@@ -175,7 +168,6 @@ class TestPipelineCaches:
         # on the same store loads every one of them
         config = CorpusConfig(0, 6)
         cold = run_corpus(config, str(tmp_path / "cold"))
-        cache_clear()
         with tracing() as rec:
             before = rec.counters.get("diskstore.verdict.hit", 0)
             warm = run_corpus(config, str(tmp_path / "warm"))
@@ -186,7 +178,6 @@ class TestPipelineCaches:
     def test_census_with_store_off_matches_store_on(self, store, tmp_path):
         config = CorpusConfig(0, 6)
         with_store = run_corpus(config, str(tmp_path / "on")).census
-        cache_clear()
         with diskstore.store_disabled():
             without = run_corpus(config, str(tmp_path / "off")).census
         assert without.as_tuple() == with_store.as_tuple()
@@ -233,20 +224,28 @@ class TestFailureTaxonomy:
         assert diskstore.load("tower", key) == "a healthy value"
 
     def test_load_corruption_heals_and_counts(self, store):
-        key = diskstore.content_hash("torn")
-        path = diskstore.store("tower", key, "soon torn")
-        with open(path, "wb") as fh:
-            fh.write(b"definitely not a pickle")
-        with tracing() as rec:
-            before = rec.counters.get("diskstore.tower.corrupt", 0)
-            assert diskstore.load("tower", key) is None
-            assert (
-                rec.counters.get("diskstore.tower.corrupt", 0) == before + 1
-            )
-        # healed: the torn entry is gone, a rewrite round-trips
-        assert not os.path.exists(path)
-        diskstore.store("tower", key, "fresh value")
-        assert diskstore.load("tower", key) == "fresh value"
+        # a torn pickle, and an older pickle whose reconstructor
+        # (complexes._reconstruct_complex) no longer exists: loading it
+        # raises AttributeError
+        stale = (
+            b"crepro.topology.complexes\n_reconstruct_complex\n"
+            b"(crepro.topology.complexes\nSimplicialComplex\n)NtR."
+        )
+        for bad in (b"definitely not a pickle", stale):
+            key = diskstore.content_hash(repr(bad))
+            path = diskstore.store("tower", key, "soon torn")
+            with open(path, "wb") as fh:
+                fh.write(bad)
+            with tracing() as rec:
+                before = rec.counters.get("diskstore.tower.corrupt", 0)
+                assert diskstore.load("tower", key) is None
+                assert (
+                    rec.counters.get("diskstore.tower.corrupt", 0) == before + 1
+                )
+            # healed: the bad entry is gone, a rewrite round-trips
+            assert not os.path.exists(path)
+            diskstore.store("tower", key, "fresh value")
+            assert diskstore.load("tower", key) == "fresh value"
 
     def test_load_programming_errors_propagate(self, store, monkeypatch):
         import pickle as pickle_mod
