@@ -465,7 +465,6 @@ def cmd_serve(args) -> int:
         batch_size=args.batch_size,
         workers=args.workers,
         pool=args.pool,
-        persist=not args.no_persist,
         access_log=args.access_log,
         sample_interval=args.sample_interval,
     )
@@ -476,7 +475,7 @@ def cmd_serve(args) -> int:
         print(
             f"serving on http://{config.host}:{server.port} "
             f"(pool={config.pool}, workers={config.workers}, "
-            f"shards={config.shards}, persist={config.persist})",
+            f"shards={config.shards})",
             flush=True,
         )
         await server.serve_forever()
@@ -497,7 +496,6 @@ def cmd_serve_bench(args) -> int:
         batch_size=args.batch_size,
         workers=args.workers,
         pool=args.pool,
-        persist=not args.no_persist,
     )
     with _tracing_to(args, "serve-bench"):
         try:
@@ -537,7 +535,6 @@ def cmd_serve_soak(args) -> int:
         batch_size=args.batch_size,
         workers=args.workers,
         pool=args.pool,
-        persist=not args.no_persist,
         access_log=args.access_log,
         sample_interval=args.sample_interval,
     )
@@ -996,11 +993,6 @@ def build_parser() -> argparse.ArgumentParser:
         "event loop, for debugging)",
     )
     p.add_argument(
-        "--no-persist",
-        action="store_true",
-        help="keep the verdict cache in memory only (skip the diskstore)",
-    )
-    p.add_argument(
         "--access-log",
         metavar="FILE",
         help="append one structured JSONL line per completed request",
@@ -1095,11 +1087,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["thread", "process", "inline"],
         default="thread",
         help="in-process server: pool kind",
-    )
-    p.add_argument(
-        "--no-persist",
-        action="store_true",
-        help="in-process server: memory-only verdict cache",
     )
     _add_observability_args(p)
     p.set_defaults(fn=cmd_serve_bench)
@@ -1221,11 +1208,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["thread", "process", "inline"],
         default="thread",
         help="in-process server: pool kind",
-    )
-    p.add_argument(
-        "--no-persist",
-        action="store_true",
-        help="in-process server: memory-only verdict cache",
     )
     _add_observability_args(p)
     p.set_defaults(fn=cmd_serve_soak)

@@ -13,12 +13,13 @@ is the long-running layer that makes that true:
 * :mod:`repro.service.execution` — the single request/response layer
   behind both the CLI subcommands and the server (task resolution,
   execution, failure-mode mapping, exit codes);
-* :mod:`repro.service.cache` — the content-addressed verdict memo store
-  (in-process memory in front of the persistent diskstore);
+* :mod:`repro.service.cache` — the content-addressed in-memory memo of
+  response envelopes (a restart re-decides, from the diskstore's
+  transforms and towers);
 * :mod:`repro.service.batch` — per-shard batch queues with in-flight
   coalescing between the asyncio front end and the worker pool;
 * :mod:`repro.service.workers` — the worker-pool backend running the
-  existing decide path with warm tables;
+  existing decide path;
 * :mod:`repro.service.server` — the stdlib asyncio HTTP server;
 * :mod:`repro.service.client` — the blocking client and the zipf-skewed
   load generator behind ``repro serve-bench``;

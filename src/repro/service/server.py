@@ -17,10 +17,9 @@ Live observability (the tentpole wiring):
 
 * every request gets a **content-derived request id** —
   ``<key[:12]>.<seq>`` for solve requests (the same content key the
-  cache is addressed by, so the id is greppable straight into the store)
-  — threaded into the worker span tree as the ``service.batch`` span's
-  ``request_ids`` attribute and onto a structured JSONL **access log**
-  line (:mod:`repro.service.accesslog`);
+  cache is addressed by) — threaded into the worker span tree as the
+  ``service.batch`` span's ``request_ids`` attribute and onto a
+  structured JSONL **access log** line (:mod:`repro.service.accesslog`);
 * the server, its verdict cache and its batch queue count every event
   exactly once into one :class:`repro.obs.recorder.Recorder`, tracing
   or not.  ``GET /v1/stats`` and ``GET /metrics`` are two reads of it;
@@ -88,7 +87,6 @@ class ServerConfig:
     batch_size: int = 8
     workers: int = 1
     pool: str = "thread"
-    persist: bool = True
     access_log: Optional[str] = None  # JSONL path; None = no access log
     sample_interval: float = 1.0  # resource sampler period, seconds
 
@@ -99,7 +97,7 @@ class SolvabilityServer:
     def __init__(self, config: Optional[ServerConfig] = None) -> None:
         self.config = config or ServerConfig()
         self.recorder = Recorder()
-        self.cache = VerdictCache(persist=self.config.persist, recorder=self.recorder)
+        self.cache = VerdictCache(recorder=self.recorder)
         self._pool = make_pool(self.config.pool, self.config.workers)
         self.batches = BatchQueue(
             run_request_batch,
@@ -132,8 +130,7 @@ class SolvabilityServer:
 
     def _gauge_sources(self) -> Dict[str, Callable[[], float]]:
         """The gauge table ``/metrics`` reads per scrape and the sampler per
-        tick.  The disk read walks the namespace (O(entries)), as
-        ``/v1/stats`` does."""
+        tick (every source is O(1))."""
         return {
             "uptime_seconds": self.uptime_seconds,
             "rss_bytes": read_rss_bytes,
@@ -141,7 +138,6 @@ class SolvabilityServer:
             "queue_depth": lambda: float(self.batches.queue_depth()),
             "cache_memory_entries": lambda: float(self.cache.memory_size_stats()["entries"]),
             "cache_memory_bytes": lambda: float(self.cache.memory_size_stats()["approx_bytes"]),
-            "cache_disk_entries": lambda: float(self.cache.size_stats()["disk"]["entries"]),
         }
 
     # -- lifecycle ---------------------------------------------------------
@@ -360,9 +356,9 @@ class SolvabilityServer:
             op=canonical["op"],
             key_prefix=key[:12],
         )
-        hit, tier = self.cache.get_with_tier(key)
+        hit = self.cache.get(key)
         if hit is not None:
-            access["cache_tier"] = tier
+            access["cache_tier"] = "memory"
             return 200, dict(hit, cached=True), access
         # submit the *canonical* body so every spelling of the same
         # request coalesces onto one in-flight computation; the request
@@ -423,15 +419,13 @@ class SolvabilityServer:
         """
         counters = self.recorder.counters
         responses = self.recorder.counter_by("http_responses", "status")
-        cache_stats = self.cache.stats()
-        cache_stats["tiers"] = self.cache.size_stats()
         return {
             "schema": SCHEMA,
             "requests": int(sum(responses.values())),
             "errors": int(sum(n for code, n in responses.items() if int(code) >= 400)),
             "uptime_seconds": self.uptime_seconds(),
             "keymap": {"entries": len(self._keymap)},
-            "cache": cache_stats,
+            "cache": self.cache.stats(),
             "batch": {
                 "shards": self.batches.shards,
                 "batch_size": self.batches.batch_size,
@@ -454,7 +448,7 @@ class ServerThread:
 
     With tracing on, ``stop()`` folds the server's counters into the
     process recorder, so an in-process traced run keeps them (counters
-    only: the topology-cache delta is this process's, already traced).
+    only: the server records no spans).
     """
 
     def __init__(self, config: Optional[ServerConfig] = None) -> None:

@@ -2,9 +2,9 @@
 
 A worker executes whole batches, not single requests: the per-dispatch
 overhead (executor hop, span bookkeeping) is paid once per batch, and a
-long-lived worker keeps its interned simplices, memoized tables and
-warm diskstore handles across batches — the same warm-table effect the
-census pool measured at 4–8.6x.
+long-lived worker keeps its interned simplices and the zoo registry
+across batches, while its decides load transforms and towers from the
+diskstore.
 
 ``pool="thread"`` (default) runs batches on a thread pool inside the
 server process: when tracing is on, the decide path's spans and

@@ -10,11 +10,11 @@ cache:
   where ``key`` is a SHA-256 content hash of the *mathematical* input
   (canonical facet reprs — never object identities or memory addresses),
   so any process that constructs an equal complex gets a hit;
-* the directory resolves like the telemetry store path: an explicit
-  argument wins, then the ``REPRO_TOWER_CACHE`` environment variable,
-  then ``.repro/towers`` under the current directory.  Setting the
-  variable to ``0``/``off``/``false``/``no``/``disabled`` turns the store
-  off entirely;
+* the directory resolves in order: a :func:`store_at` override, then
+  the ``REPRO_TOWER_CACHE`` environment variable, then ``.repro/towers``
+  under the current directory.  Setting the variable to
+  ``0``/``off``/``false``/``no``/``disabled`` turns the store off
+  entirely;
 * writes are atomic (temp file + ``os.replace``) so a crashed writer can
   never leave a torn pickle; a *corrupt* entry (truncated pickle,
   incompatible class layout) is deleted and silently recomputed, while a
@@ -38,7 +38,7 @@ import pickle
 import tempfile
 import warnings
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from ..obs import counter_add
 from ..service.keys import content_hash
@@ -77,14 +77,12 @@ _override_dir: Optional[str] = None
 _enabled: bool = True
 
 
-def resolve_store_dir(path: Optional[str] = None) -> Optional[str]:
-    """Resolve the store directory: argument > override > env > default.
+def resolve_store_dir() -> Optional[str]:
+    """Resolve the store directory: override > env > default.
 
     Returns ``None`` when the environment variable explicitly disables
     the store.
     """
-    if path:
-        return path
     if _override_dir is not None:
         return _override_dir
     env = os.environ.get(ENV_VAR)
@@ -104,22 +102,15 @@ def store_enabled() -> bool:
     return _enabled and resolve_store_dir() is not None
 
 
-def set_store(enabled: bool) -> bool:
-    """Enable/disable the disk store; returns the previous state."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
-
-
 @contextmanager
 def store_disabled() -> Iterator[None]:
     """Context manager: run a block with the disk store off."""
-    previous = set_store(False)
+    global _enabled
+    previous, _enabled = _enabled, False
     try:
         yield
     finally:
-        set_store(previous)
+        _enabled = previous
 
 
 @contextmanager
@@ -182,14 +173,14 @@ def task_key(task) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _entry_path(namespace: str, key: str, root: Optional[str]) -> Optional[str]:
-    base = resolve_store_dir(root)
+def _entry_path(namespace: str, key: str) -> Optional[str]:
+    base = resolve_store_dir()
     if base is None:
         return None
     return os.path.join(base, namespace, key[:2], key + ".pkl")
 
 
-def load(namespace: str, key: str, root: Optional[str] = None) -> Optional[Any]:
+def load(namespace: str, key: str) -> Optional[Any]:
     """Fetch a stored object, or ``None`` on miss/corruption/disabled.
 
     A *corrupted* entry (torn write, incompatible pickle) is removed so
@@ -203,7 +194,7 @@ def load(namespace: str, key: str, root: Optional[str] = None) -> Optional[Any]:
     """
     if not store_enabled():
         return None
-    path = _entry_path(namespace, key, root)
+    path = _entry_path(namespace, key)
     if path is None:
         return None
     try:
@@ -232,7 +223,7 @@ def load(namespace: str, key: str, root: Optional[str] = None) -> Optional[Any]:
     return obj
 
 
-def store(namespace: str, key: str, obj: Any, root: Optional[str] = None) -> Optional[str]:
+def store(namespace: str, key: str, obj: Any) -> Optional[str]:
     """Persist an object atomically; returns the entry path (or ``None``).
 
     Expected failures are swallowed — the store is an accelerator, never
@@ -244,7 +235,7 @@ def store(namespace: str, key: str, obj: Any, root: Optional[str] = None) -> Opt
     """
     if not store_enabled():
         return None
-    path = _entry_path(namespace, key, root)
+    path = _entry_path(namespace, key)
     if path is None:
         return None
     directory = os.path.dirname(path)
@@ -293,43 +284,6 @@ def _discard(tmp: str) -> None:
         pass
 
 
-def namespace_stats(namespace: str, root: Optional[str] = None) -> Dict[str, int]:
-    """Entry count and byte total for one namespace's on-disk tier.
-
-    Walks ``<store dir>/<namespace>`` counting committed ``.pkl`` entries
-    (in-flight ``.tmp`` files are skipped — they are not cache state).
-    This is the size-accounting read the service's ``/v1/stats`` and the
-    soak gate ride; a disabled store reports zeros rather than raising,
-    matching every other degrade-to-miss path in this module.  The walk
-    is O(entries) — fine for a periodic sampler, not for a hot path.
-    """
-    base = resolve_store_dir(root)
-    if base is None or (root is None and not _enabled):
-        return {"entries": 0, "approx_bytes": 0}
-    ns_dir = os.path.join(base, namespace)
-    entries = 0
-    approx_bytes = 0
-    try:
-        with os.scandir(ns_dir) as buckets:
-            bucket_dirs = [b.path for b in buckets if b.is_dir()]
-    except OSError:
-        return {"entries": 0, "approx_bytes": 0}
-    for bucket in bucket_dirs:
-        try:
-            with os.scandir(bucket) as files:
-                for entry in files:
-                    if not entry.name.endswith(".pkl"):
-                        continue
-                    try:
-                        approx_bytes += entry.stat().st_size
-                    except OSError:  # pragma: no cover - racing removers
-                        continue
-                    entries += 1
-        except OSError:  # pragma: no cover - racing removers
-            continue
-    return {"entries": entries, "approx_bytes": approx_bytes}
-
-
 def write_json_atomic(path: str, payload: Any) -> str:
     """Write a JSON document atomically (temp file + ``os.replace``).
 
@@ -360,9 +314,7 @@ __all__ = [
     "complex_key",
     "content_hash",
     "load",
-    "namespace_stats",
     "resolve_store_dir",
-    "set_store",
     "store",
     "store_at",
     "store_disabled",

@@ -238,17 +238,16 @@ class SubdivisionTower:
     Levels ``r >= 1`` are additionally cached in the persistent store of
     :mod:`repro.topology.diskstore`, keyed by ``(content hash of the base
     complex, subdivision kind, r)`` — so successive CLI runs and census
-    pool workers load ``Ch^r(I)`` instead of rebuilding it.  Pass
-    ``persist=False`` (or disable the store) to keep a tower purely
-    in-memory.
+    pool workers load ``Ch^r(I)`` instead of rebuilding it.  Disable the
+    store (:func:`repro.topology.diskstore.store_disabled`) to keep a
+    tower purely in-memory.
     """
 
-    __slots__ = ("base", "step", "_levels", "_persist", "_base_key")
+    __slots__ = ("base", "step", "_levels", "_base_key")
 
-    def __init__(self, base: SimplicialComplex, step, persist: bool = True) -> None:
+    def __init__(self, base: SimplicialComplex, step) -> None:
         self.base = base
         self.step = step
-        self._persist = persist
         self._base_key: Optional[str] = None
         # built lazily (r -> result): a warm-store tower asked for level r
         # loads it directly and never materializes the lower levels at all
@@ -287,7 +286,7 @@ class SubdivisionTower:
             )
             self._levels[0] = result
             return result
-        persisting = self._persist and diskstore.store_enabled()
+        persisting = diskstore.store_enabled()
         if persisting:
             cached = diskstore.load("tower", self._level_key(r))
             if isinstance(cached, SubdivisionResult):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.tasks.zoo import (
     consensus_task,
     figure3_task,
@@ -38,6 +39,17 @@ def _isolated_tower_store(tmp_path, monkeypatch):
     checkout, making timings and counter assertions order-dependent.
     """
     monkeypatch.setenv("REPRO_TOWER_CACHE", str(tmp_path / "towers"))
+
+
+@pytest.fixture(autouse=True)
+def _isolated_recorder():
+    """Give each test a fresh process-global recorder.
+
+    ``obs.tracing()`` records into the process recorder; without this a
+    test asserting an absolute counter (``diskstore.transform.hit == 1``)
+    would see what earlier traced tests left there.
+    """
+    obs.reset_recorder()
 
 
 @pytest.fixture

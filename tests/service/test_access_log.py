@@ -83,7 +83,7 @@ class TestAccessLogUnit:
 def logged_server(tmp_path):
     path = str(tmp_path / "access.jsonl")
     config = ServerConfig(
-        persist=False, pool="inline", shards=1, access_log=path
+        pool="inline", shards=1, access_log=path
     )
     with ServerThread(config) as st:
         yield st, path
@@ -137,7 +137,7 @@ class TestLogTraceJoin:
         """The satellite gate: one id joins the log line to the span tree."""
         path = str(tmp_path / "access.jsonl")
         config = ServerConfig(
-            persist=False, pool="inline", shards=1, access_log=path
+            pool="inline", shards=1, access_log=path
         )
         obs.reset_recorder()
         obs.set_tracing(True)

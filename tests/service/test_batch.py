@@ -9,7 +9,6 @@ import pytest
 from repro.service.batch import BatchQueue, shard_of
 from repro.service.cache import VerdictCache
 from repro.service.protocol import make_response
-from repro.topology import diskstore
 
 
 def _backend_ok(payloads):
@@ -121,7 +120,7 @@ class TestBatching:
         assert "worker blew up" in first["error"]["message"]
         assert second["ok"] is True
 
-    def test_responses_populate_the_cache(self, tmp_path):
+    def test_responses_populate_the_cache(self):
         def backend(payloads):
             return [
                 make_response(p["key"], "decide", verdict=None)
@@ -136,10 +135,9 @@ class TestBatching:
             await queue.submit(_key(3), {"key": _key(3), "n": 3})
             await queue.stop()
 
-        with diskstore.store_at(str(tmp_path / "s")):
-            cache = VerdictCache(persist=False)
-            asyncio.run(run(cache))
-            assert cache.get(_key(3)) is not None
+        cache = VerdictCache()
+        asyncio.run(run(cache))
+        assert cache.get(_key(3)) is not None
 
     def test_constructor_validates_shape(self):
         with pytest.raises(ValueError):

@@ -34,7 +34,7 @@ def bench_result(tmp_path_factory):
             pool_size=2,
             seed=0,
             passes=2,
-            server_config=ServerConfig(persist=False, shards=1),
+            server_config=ServerConfig(shards=1),
         )
 
 

@@ -23,7 +23,7 @@ from repro.service.server import ServerConfig, ServerThread
 
 @pytest.fixture(scope="module")
 def server():
-    with ServerThread(ServerConfig(persist=False, sample_interval=0.2)) as st:
+    with ServerThread(ServerConfig(sample_interval=0.2)) as st:
         yield st
 
 

@@ -7,16 +7,18 @@ import socket
 
 import pytest
 
+from repro import obs
 from repro.service.client import ServiceClient, run_load
 from repro.service.keys import canonical_dumps
 from repro.service.protocol import validate_response
 from repro.service.server import ServerConfig, ServerThread
+from repro.topology import diskstore
 
 
 @pytest.fixture(scope="module")
 def server():
     """One shared in-process server (memory-only cache, thread pool)."""
-    with ServerThread(ServerConfig(persist=False)) as st:
+    with ServerThread(ServerConfig()) as st:
         yield st
 
 
@@ -81,7 +83,7 @@ def _raw_exchange(port: int, data: bytes) -> bytes:
 class TestMalformedRequests:
     @pytest.mark.parametrize("length", [b"abc", b"-5"])
     def test_malformed_content_length_is_a_counted_400(self, length):
-        with ServerThread(ServerConfig(persist=False)) as st:
+        with ServerThread(ServerConfig()) as st:
             reply = _raw_exchange(
                 st.port,
                 b"POST /v1/solve HTTP/1.1\r\nContent-Length: " + length
@@ -208,6 +210,23 @@ class TestSolve:
         assert result.hit_rate >= 0.5
 
 
+class TestRestart:
+    def test_restart_redecides_from_the_decide_stores(self, tmp_path):
+        """A restarted server has an empty response cache, but its decide
+        loads the transform the first server's decide stored."""
+        store = tmp_path / "store"
+        with diskstore.store_at(str(store)):
+            with ServerThread(ServerConfig()) as st, ServiceClient(st.url) as client:
+                first = client.decide("majority")
+            with obs.tracing() as rec:
+                with ServerThread(ServerConfig()) as st, ServiceClient(st.url) as client:
+                    second = client.decide("majority")
+        assert first["cached"] is False and second["cached"] is False
+        assert second["verdict"] == first["verdict"]
+        assert rec.counters.get("diskstore.transform.hit", 0) == 1
+        assert not (store / "service").exists()
+
+
 class TestCliParity:
     def test_cli_and_service_verdicts_are_bit_identical(
         self, server, tmp_path, capsys
@@ -226,12 +245,12 @@ class TestCliParity:
 
 class TestServerThread:
     def test_port_is_unavailable_before_start(self):
-        st = ServerThread(ServerConfig(persist=False))
+        st = ServerThread(ServerConfig())
         with pytest.raises(RuntimeError):
             st.port
 
     def test_inline_pool_serves_requests(self):
-        config = ServerConfig(persist=False, pool="inline", shards=1)
+        config = ServerConfig(pool="inline", shards=1)
         with ServerThread(config) as st:
             with ServiceClient(st.url) as client:
                 response = client.decide("fork")

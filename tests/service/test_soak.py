@@ -25,7 +25,7 @@ from repro.service.soak import (
 #: fast in-process server for soak tests: no disk, no worker pool hop
 FAST = dict(
     server_config=ServerConfig(
-        persist=False, pool="inline", shards=1, sample_interval=0.2
+        pool="inline", shards=1, sample_interval=0.2
     ),
     duration=2.5,
     concurrency=2,
@@ -156,7 +156,6 @@ class TestCliExitCodes:
         "--sample-interval", "0.2",
         "--pool", "inline",
         "--shards", "1",
-        "--no-persist",
     ]
 
     def test_under_budget_exits_zero_and_writes_the_report(

@@ -309,7 +309,6 @@ class TestServeBench:
                     "--requests", "8",
                     "--concurrency", "2",
                     "--pool-size", "1",
-                    "--no-persist",
                     "--min-hit-rate", "0.5",
                     "--out", str(out),
                 ]
@@ -327,7 +326,6 @@ class TestServeBench:
                     "--requests", "6",
                     "--concurrency", "2",
                     "--pool-size", "1",
-                    "--no-persist",
                     "--max-p99-ms", "0.0",
                 ]
             )
@@ -560,7 +558,7 @@ class TestObs:
     def test_ingest_bench_report(self, tmp_path, capsys):
         report = tmp_path / "bench-service.json"
         bench = ["serve-bench", "--requests", "8", "--concurrency", "2",
-                 "--pool-size", "1", "--no-persist", "--out", str(report)]
+                 "--pool-size", "1", "--out", str(report)]
         assert main(bench) == 0
         capsys.readouterr()
         store = tmp_path / "telemetry.jsonl"

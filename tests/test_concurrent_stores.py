@@ -1,8 +1,8 @@
 """Concurrent writers against the persistent stores: no torn records.
 
-The service runs the telemetry JSONL store and the verdict diskstore
-from multiple threads (client workers, the server thread, pool workers),
-so both must tolerate racing writers: every JSONL line must stay a
+The service runs the telemetry JSONL store and the diskstore from
+multiple threads (client workers, the server thread, pool workers), so
+both must tolerate racing writers: every JSONL line must stay a
 complete record, and a diskstore key raced by two writers must end up
 wholly one value or wholly the other — never interleaved bytes.
 """
@@ -74,12 +74,12 @@ class TestDiskstoreConcurrency:
 
             def work(i: int) -> None:
                 for _ in range(10):
-                    diskstore.store("service", key, payloads[i])
+                    diskstore.store("verdict", key, payloads[i])
 
             assert _race(n_threads, work) == []
             # atomic temp-file + os.replace: the survivor is exactly one
             # writer's payload, never a byte-interleaved hybrid
-            final = diskstore.load("service", key)
+            final = diskstore.load("verdict", key)
             assert final in payloads.values()
 
     def test_racing_writers_distinct_keys_all_round_trip(self, tmp_path):
@@ -87,29 +87,28 @@ class TestDiskstoreConcurrency:
             n_threads = 8
 
             def work(i: int) -> None:
-                diskstore.store("service", f"{i:040x}", {"writer": i})
+                diskstore.store("verdict", f"{i:040x}", {"writer": i})
 
             assert _race(n_threads, work) == []
             for i in range(n_threads):
-                assert diskstore.load("service", f"{i:040x}") == {"writer": i}
+                assert diskstore.load("verdict", f"{i:040x}") == {"writer": i}
 
 
 class TestVerdictCacheConcurrency:
-    def test_racing_puts_and_gets_stay_consistent(self, tmp_path):
-        with diskstore.store_at(str(tmp_path / "store")):
-            cache = VerdictCache()
-            keys = [f"{i:040x}" for i in range(4)]
-            responses = {
-                k: make_response(k, "decide", verdict=None) for k in keys
-            }
+    def test_racing_puts_and_gets_stay_consistent(self):
+        cache = VerdictCache()
+        keys = [f"{i:040x}" for i in range(4)]
+        responses = {
+            k: make_response(k, "decide", verdict=None) for k in keys
+        }
 
-            def work(i: int) -> None:
-                for _ in range(25):
-                    k = keys[i % len(keys)]
-                    cache.put(k, responses[k])
-                    got = cache.get(k)
-                    assert got is None or got == responses[k]
+        def work(i: int) -> None:
+            for _ in range(25):
+                k = keys[i % len(keys)]
+                cache.put(k, responses[k])
+                got = cache.get(k)
+                assert got is None or got == responses[k]
 
-            assert _race(8, work) == []
-            for k in keys:
-                assert cache.get(k) == responses[k]
+        assert _race(8, work) == []
+        for k in keys:
+            assert cache.get(k) == responses[k]

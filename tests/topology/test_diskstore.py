@@ -43,9 +43,6 @@ def _tower_fingerprint(result):
 
 
 class TestResolution:
-    def test_explicit_argument_wins(self, store):
-        assert diskstore.resolve_store_dir("/elsewhere") == "/elsewhere"
-
     def test_store_at_overrides_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(diskstore.ENV_VAR, "/from-env")
         with diskstore.store_at(str(tmp_path / "o")) as path:
@@ -70,11 +67,10 @@ class TestResolution:
             assert not diskstore.store_enabled()
             assert diskstore.load("tower", "anykey") is None
             assert diskstore.store("tower", "anykey", object()) is None
+            with diskstore.store_disabled():
+                pass
+            assert not diskstore.store_enabled()  # restores the outer state
         assert diskstore.store_enabled()
-
-    def test_set_store_returns_previous(self, store):
-        assert diskstore.set_store(False) is True
-        assert diskstore.set_store(True) is False
 
 
 # -- raw load/store ------------------------------------------------------------
@@ -142,9 +138,10 @@ class TestTowerPersistence:
         final = SubdivisionTower(k, barycentric_subdivision).level(2)
         assert _tower_fingerprint(final) == _tower_fingerprint(cold)
 
-    def test_persist_false_never_touches_the_disk(self, store):
+    def test_store_disabled_never_touches_the_disk(self, store):
         k = SimplicialComplex([("a", "b", "c")])
-        SubdivisionTower(k, barycentric_subdivision, persist=False).level(2)
+        with diskstore.store_disabled():
+            SubdivisionTower(k, barycentric_subdivision).level(2)
         assert not glob.glob(os.path.join(store, "tower", "*", "*.pkl"))
 
 
