@@ -32,15 +32,11 @@ Commands
     content-addressed verdict cache and a batched worker pool
     (``POST /v1/solve``, ``GET /metrics`` Prometheus/JSON exposition,
     ``--access-log`` structured JSONL; see ``docs/service.md``).
-``serve-bench``
-    Replay zipf-skewed duplicate-heavy load against the server (an
-    in-process one by default, ``--url`` for an external one) and emit
-    a ``repro-perf/1`` report with hit-rate/p50/p99 numbers.
 ``serve-soak``
     Sustain zipf load for ``--duration`` seconds while scraping
     ``/metrics``, fit post-warmup growth slopes for RSS/keymap/cache,
     and exit 1 when any declared ``--max-*-growth`` budget is exceeded;
-    emits an ingestable ``repro-soak/1`` report.
+    emits a ``repro-soak/1`` report.
 ``trace``
     Work with ``repro-trace/1`` JSON exports produced by ``--trace``:
     ``trace summary`` pretty-prints the span tree and aggregate counters
@@ -48,14 +44,6 @@ Commands
     ``trace validate`` schema-checks one or more files (for CI),
     ``trace flame`` emits collapsed stacks for flamegraph.pl/speedscope,
     ``trace export --chrome`` emits Chrome trace-event JSON.
-``obs``
-    Query the persistent telemetry store every traced invocation appends
-    to (``repro-run/1`` JSONL; ``--store`` flag > ``REPRO_TELEMETRY``
-    env > ``.repro/telemetry.jsonl``): ``obs trend`` renders per-metric
-    history, ``obs diff`` compares two runs under a noise-tolerant
-    threshold model and exits non-zero on regression, ``obs ingest``
-    folds ``benchmarks/BENCH_*.json`` perf reports into the store,
-    ``obs validate`` schema-checks the store, ``obs list`` shows runs.
 
 Exit codes
 ----------
@@ -120,30 +108,21 @@ def _execute(req: ServiceRequest) -> service_execution.ExecutionOutcome:
 
 
 @contextlib.contextmanager
-def _tracing_to(args, command: str, task: str | None = None):
-    """Trace the wrapped command per its ``--trace``/``--store`` flags.
+def _tracing_to(args, command: str):
+    """Trace the wrapped command when it was given ``--trace FILE``.
 
-    A no-op unless the command asked for observability via ``--trace``
-    (write a ``repro-trace/1`` JSON export), ``--store`` (append a
-    ``repro-run/1`` record to an explicit telemetry store) or
-    ``--profile-memory`` (tracemalloc peak-bytes span attrs).  Resets
-    the session recorder so the export covers exactly this command,
-    enables tracing for its duration, and exports on the way out —
+    A no-op otherwise.  Resets the session recorder so the export covers
+    exactly this command, enables tracing (and, with
+    ``--profile-memory``, tracemalloc peak-bytes span attrs) for its
+    duration, and writes the ``repro-trace/1`` export on the way out —
     including when the command fails, so a crashing run still leaves
     its trace.
-
-    Every traced invocation also appends one run record to the
-    telemetry store (``--store`` > ``REPRO_TELEMETRY`` >
-    ``.repro/telemetry.jsonl``), which is what ``obs trend`` / ``obs
-    diff`` query — the cross-commit history a single trace file cannot
-    provide.
     """
     trace_path = getattr(args, "trace", None)
-    store_arg = getattr(args, "store", None)
-    profile_memory = bool(getattr(args, "profile_memory", False))
-    if not (trace_path or store_arg or profile_memory):
+    if not trace_path:
         yield
         return
+    profile_memory = bool(getattr(args, "profile_memory", False))
     obs.reset_recorder()
     previous = obs.set_tracing(True)
     previous_mem = obs.set_memory_profiling(True) if profile_memory else None
@@ -153,19 +132,8 @@ def _tracing_to(args, command: str, task: str | None = None):
         obs.set_tracing(previous)
         if previous_mem is not None:
             obs.set_memory_profiling(previous_mem)
-        if trace_path:
-            payload = obs.write_trace(trace_path, meta={"command": command})
-            print(f"wrote {trace_path}")
-        else:
-            payload = obs.build_trace(meta={"command": command})
-        record = obs.build_run_record(
-            payload,
-            command=command.split()[0],
-            argv=list(getattr(args, "_argv", []) or []),
-            task=task,
-        )
-        store_path = obs.append_run(record, obs.resolve_store_path(store_arg))
-        print(f"recorded run {record['run_id']} in {store_path}")
+        obs.write_trace(trace_path, meta={"command": command})
+        print(f"wrote {trace_path}")
 
 
 def cmd_decide(args) -> int:
@@ -173,7 +141,7 @@ def cmd_decide(args) -> int:
     req = ServiceRequest(
         op="decide", task=args.task, params={"max_rounds": args.max_rounds}
     )
-    with _tracing_to(args, f"decide {args.task}", task=args.task):
+    with _tracing_to(args, f"decide {args.task}"):
         outcome = _execute(req)
     verdict = outcome.verdict
     print(f"task:    {task.name or args.task}")
@@ -270,105 +238,6 @@ def cmd_trace(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_obs(args) -> int:
-    store_path = obs.resolve_store_path(args.store)
-    if args.action == "ingest":
-        if not args.refs:
-            raise SystemExit("obs ingest needs one or more BENCH_*.json files")
-        failures = 0
-        for path in args.refs:
-            try:
-                record = obs.load_record_file(path)
-            except (OSError, ValueError) as exc:
-                print(f"{path}: {exc}", file=sys.stderr)
-                failures += 1
-                continue
-            obs.append_run(record, store_path)
-            print(f"ingested {path} as run {record['run_id']}")
-        return 1 if failures else 0
-
-    records, problems = obs.load_store(store_path)
-    for problem in problems:
-        print(problem, file=sys.stderr)
-
-    if args.action == "validate":
-        if problems:
-            return 1
-        if not records:
-            print(f"{store_path}: no runs recorded", file=sys.stderr)
-            return 1
-        print(f"{store_path}: {len(records)} valid {obs.RUN_SCHEMA} record(s)")
-        return 0
-
-    if args.action == "list":
-        if not records:
-            print("telemetry store is empty (record runs with --trace/--store first)")
-            return 0
-        for record in records:
-            spans = record.get("spans", {})
-            wall = sum(entry["wall_seconds"] for entry in spans.values())
-            print(
-                f"{record['run_id']}  "
-                f"{record['command']:<12} {record.get('task') or '':<12} "
-                f"{wall:8.3f}s  sha={str(record.get('git_sha') or '?')[:9]}"
-            )
-        return 0
-
-    if args.action == "trend":
-        print(
-            obs.format_trend(
-                records,
-                metric=args.metric,
-                last=args.last,
-                command=args.command_filter,
-            )
-        )
-        return 0
-
-    # diff: --baseline FILE vs latest matching run, or two run references
-    thresholds = obs.Thresholds(
-        min_seconds=args.min_seconds,
-        rel_tolerance=args.rel_tol,
-        counter_tolerance=args.counter_tol,
-    )
-    try:
-        if args.baseline:
-            before = obs.load_record_file(args.baseline)
-            if args.refs:
-                after = obs.find_run(records, args.refs[0])
-            else:
-                # same command AND same task: diffing `decide majority`
-                # against `decide identity` would chart apples vs oranges
-                pool = [
-                    r
-                    for r in records
-                    if before.get("task") is None
-                    or r.get("task") == before["task"]
-                ]
-                after = obs.latest_run(pool, command=before["command"])
-                if after is None:
-                    what = before["command"] + (
-                        f" {before['task']}" if before.get("task") else ""
-                    )
-                    raise ValueError(
-                        f"store {store_path} has no {what!r} run to "
-                        "compare against the baseline"
-                    )
-        else:
-            if len(args.refs) != 2:
-                raise ValueError(
-                    "obs diff needs two run references (id prefix or index), "
-                    "or --baseline FILE [REF]"
-                )
-            before = obs.find_run(records, args.refs[0])
-            after = obs.find_run(records, args.refs[1])
-    except (OSError, ValueError) as exc:
-        raise SystemExit(str(exc)) from exc
-    deltas = obs.diff_records(before, after, thresholds)
-    print(obs.format_diff(before, after, deltas, show_ok=args.show_ok))
-    return 1 if obs.regressions(deltas) else 0
-
-
 def cmd_list(_args) -> int:
     width = max(len(n) for n in ZOO)
     for name in sorted(ZOO):
@@ -391,7 +260,7 @@ def cmd_analyze(args) -> int:
     req = ServiceRequest(
         op="analyze", task=args.task, params={"max_rounds": args.max_rounds}
     )
-    with _tracing_to(args, f"analyze {args.task}", task=args.task):
+    with _tracing_to(args, f"analyze {args.task}"):
         outcome = _execute(req)
     report = outcome.report
     print(report)
@@ -431,7 +300,7 @@ def cmd_synthesize(args) -> int:
             "facets_only": args.facets_only,
         },
     )
-    with _tracing_to(args, f"synthesize {args.task}", task=args.task):
+    with _tracing_to(args, f"synthesize {args.task}"):
         # only the documented failure modes (SynthesisError, budget
         # exhaustion, preflight rejection) come back as ok:false here;
         # a programming error propagates with its traceback intact
@@ -485,43 +354,6 @@ def cmd_serve(args) -> int:
     except KeyboardInterrupt:
         pass
     return 0
-
-
-def cmd_serve_bench(args) -> int:
-    from .service import bench as service_bench
-    from .service.server import ServerConfig
-
-    config = ServerConfig(
-        shards=args.shards,
-        batch_size=args.batch_size,
-        workers=args.workers,
-        pool=args.pool,
-    )
-    with _tracing_to(args, "serve-bench"):
-        try:
-            result = service_bench.run_service_bench(
-                requests=args.requests,
-                concurrency=args.concurrency,
-                pool_size=args.pool_size,
-                skew=args.zipf,
-                seed=args.seed,
-                passes=args.passes,
-                replay=args.replay,
-                url=args.url,
-                server_config=config,
-            )
-        except (OSError, ValueError) as exc:
-            raise SystemExit(str(exc)) from exc
-    print(service_bench.format_summary(result))
-    if args.out:
-        result["harness"].write(args.out)
-        print(f"wrote {args.out}")
-    problems = service_bench.check_gates(
-        result, min_hit_rate=args.min_hit_rate, max_p99_ms=args.max_p99_ms
-    )
-    for problem in problems:
-        print(f"GATE: {problem}", file=sys.stderr)
-    return 1 if problems else 0
 
 
 def cmd_serve_soak(args) -> int:
@@ -738,11 +570,10 @@ def cmd_conform(args) -> int:
 
 
 def _add_observability_args(p: argparse.ArgumentParser) -> None:
-    """``--trace`` / ``--store`` / ``--profile-memory`` for traced commands.
+    """``--trace`` / ``--profile-memory`` for traced commands.
 
-    Any of the three switches tracing on for the command; every traced
-    invocation appends one ``repro-run/1`` record to the telemetry store
-    (``--store`` > ``REPRO_TELEMETRY`` > ``.repro/telemetry.jsonl``).
+    Only ``--trace FILE`` switches tracing on; ``--profile-memory`` adds
+    span attributes to that trace, so alone it is a usage error.
     """
     p.add_argument(
         "--trace",
@@ -750,17 +581,10 @@ def _add_observability_args(p: argparse.ArgumentParser) -> None:
         help="export a repro-trace/1 JSON span/counter trace of the run",
     )
     p.add_argument(
-        "--store",
-        metavar="FILE",
-        help="append this run's repro-run/1 telemetry record to FILE "
-        "(implies tracing; default store: $REPRO_TELEMETRY or "
-        ".repro/telemetry.jsonl)",
-    )
-    p.add_argument(
         "--profile-memory",
         action="store_true",
-        help="attach tracemalloc peak-bytes attrs to spans "
-        "(implies tracing; slows allocation-heavy stages)",
+        help="attach tracemalloc peak-bytes attrs to the --trace spans "
+        "(slows allocation-heavy stages)",
     )
 
 
@@ -870,82 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_trace)
 
-    p = sub.add_parser(
-        "obs",
-        help="query the telemetry run store "
-        "(history, regression diffs, bench ingest)",
-    )
-    p.add_argument(
-        "action",
-        choices=["trend", "diff", "ingest", "validate", "list"],
-        help="'trend' renders per-metric history; 'diff' compares two runs "
-        "and exits 1 on regression; 'ingest' folds repro-perf/1 bench "
-        "reports into the store; 'validate' schema-checks the store; "
-        "'list' shows recorded runs",
-    )
-    p.add_argument(
-        "refs",
-        nargs="*",
-        metavar="REF",
-        help="diff: two run references (id prefix or store index, e.g. -1); "
-        "ingest: BENCH_*.json files",
-    )
-    p.add_argument(
-        "--store",
-        metavar="FILE",
-        help="telemetry store path (default: $REPRO_TELEMETRY or "
-        ".repro/telemetry.jsonl)",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="diff: compare this committed repro-run/1 (or repro-perf/1) "
-        "record against the latest store run with the same command",
-    )
-    p.add_argument(
-        "--metric",
-        metavar="SUBSTR",
-        help="trend: only metrics whose name contains SUBSTR",
-    )
-    p.add_argument(
-        "--last",
-        type=int,
-        default=10,
-        metavar="N",
-        help="trend: newest N runs per series (default 10)",
-    )
-    p.add_argument(
-        "--command",
-        dest="command_filter",
-        metavar="CMD",
-        help="trend: restrict to one subcommand's runs (e.g. decide)",
-    )
-    p.add_argument(
-        "--min-seconds",
-        type=float,
-        default=0.05,
-        help="diff: spans faster than this never gate (noise floor, "
-        "default 0.05)",
-    )
-    p.add_argument(
-        "--rel-tol",
-        type=float,
-        default=0.25,
-        help="diff: allowed relative span wall-time growth (default 0.25)",
-    )
-    p.add_argument(
-        "--counter-tol",
-        type=float,
-        default=0.10,
-        help="diff: allowed relative counter growth (default 0.10)",
-    )
-    p.add_argument(
-        "--show-ok",
-        action="store_true",
-        help="diff: also print within-tolerance metrics",
-    )
-    p.set_defaults(fn=cmd_obs)
-
     p = sub.add_parser("synthesize", help="synthesize and validate a protocol")
     p.add_argument("task")
     p.add_argument("--max-rounds", type=int, default=2)
@@ -1006,90 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 1.0)",
     )
     p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "serve-bench",
-        help="replay duplicate-heavy load against the verdict server and "
-        "emit a repro-perf/1 report (docs/service.md)",
-    )
-    p.add_argument(
-        "--requests",
-        type=int,
-        default=200,
-        help="stream length when generating a workload (default 200)",
-    )
-    p.add_argument(
-        "--concurrency",
-        type=int,
-        default=4,
-        help="client worker threads (default 4)",
-    )
-    p.add_argument(
-        "--pool-size",
-        type=int,
-        default=6,
-        help="distinct specs in the generated workload (default 6)",
-    )
-    p.add_argument(
-        "--zipf",
-        type=float,
-        default=1.2,
-        help="zipf skew of the generated workload (default 1.2)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
-    p.add_argument(
-        "--passes",
-        type=int,
-        default=2,
-        help="replay passes: first cold, last steady-state (default 2)",
-    )
-    p.add_argument(
-        "--replay",
-        metavar="FILE",
-        help="replay a JSONL request stream instead of generating one",
-    )
-    p.add_argument(
-        "--url",
-        metavar="URL",
-        help="bench an already-running server instead of starting one "
-        "in-process",
-    )
-    p.add_argument(
-        "--min-hit-rate",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="exit 1 unless the steady-state hit rate reaches RATE",
-    )
-    p.add_argument(
-        "--max-p99-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="exit 1 if the steady-state p99 exceeds MS milliseconds",
-    )
-    p.add_argument(
-        "--out",
-        metavar="FILE",
-        help="write the repro-perf/1 report to FILE",
-    )
-    p.add_argument(
-        "--shards", type=int, default=2, help="in-process server: shards"
-    )
-    p.add_argument(
-        "--batch-size", type=int, default=8, help="in-process server: batch size"
-    )
-    p.add_argument(
-        "--workers", type=int, default=1, help="in-process server: pool size"
-    )
-    p.add_argument(
-        "--pool",
-        choices=["thread", "process", "inline"],
-        default="thread",
-        help="in-process server: pool kind",
-    )
-    _add_observability_args(p)
-    p.set_defaults(fn=cmd_serve_bench)
 
     p = sub.add_parser(
         "serve-soak",
@@ -1174,8 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out",
         metavar="FILE",
-        help="write the repro-soak/1 report (ingestable via `repro obs "
-        "ingest`)",
+        help="write the repro-soak/1 report to FILE",
     )
     p.add_argument(
         "--scrapes-out",
@@ -1316,9 +979,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    raw = list(argv) if argv is not None else sys.argv[1:]
-    args = build_parser().parse_args(raw)
-    args._argv = raw  # recorded in repro-run/1 telemetry for provenance
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "profile_memory", False) and not args.trace:
+        parser.error("--profile-memory only annotates a trace: add --trace FILE")
     return args.fn(args)
 
 

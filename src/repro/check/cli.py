@@ -19,9 +19,8 @@ when no error-severity finding (and no tool failure) was reported, 1
 otherwise; usage errors exit 2 via argparse.
 
 Check runs are observable like every other pipeline command: with
-``--trace``/``--store`` (or ``REPRO_TELEMETRY``) the run lands in the
-telemetry store with per-code diagnostic counts as counters, so
-``obs trend`` tracks finding counts across commits.
+``--trace FILE`` the ``repro-trace/1`` export carries per-code
+diagnostic counts as counters.
 """
 
 from __future__ import annotations
@@ -145,8 +144,8 @@ def _filter_result(
 def _record_obs_counters(result: CheckResult) -> None:
     """Record finding counts into the active trace (no-op untraced).
 
-    One counter per reported code plus error/warning totals: the shape
-    ``obs trend`` needs to plot finding counts across stored check runs.
+    One counter per reported code plus error/warning totals, so a
+    check run's trace says what it found as well as where time went.
     """
     from .. import obs
 

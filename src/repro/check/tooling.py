@@ -18,10 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 #: modules held to ``mypy --strict`` (the typed gate)
-MYPY_GATE: Tuple[str, ...] = (
-    "src/repro/check",
-    "src/repro/perf.py",
-)
+MYPY_GATE: Tuple[str, ...] = ("src/repro/check",)
 
 #: additional mypy flags applied to every gate run
 MYPY_FLAGS: Tuple[str, ...] = ("--strict", "--no-error-summary")

@@ -1,10 +1,11 @@
 """Schema-validated JSON export of a trace (``repro-trace/1``).
 
-Modeled on :mod:`repro.perf`'s ``repro-perf/1`` report: a fixed schema
-identifier, host context from :func:`repro.perf.machine_info`, and a
-dependency-free :func:`validate_trace` strict enough that the CI smoke
+A fixed schema identifier, host context from :func:`machine_info`, and
+a dependency-free :func:`validate_trace` strict enough that the CI smoke
 job catches format drift.  A trace payload carries:
 
+* ``machine`` — Python version, implementation, platform and CPU count,
+  so absolute timings can be read honestly across hosts;
 * ``spans`` — the parent process's span forest (recursive records with
   ``wall_seconds`` / ``cpu_seconds`` / ``attrs`` / ``children``);
 * ``counters`` / ``gauges`` — the parent's metrics;
@@ -30,6 +31,8 @@ recorder was created, on the ``perf_counter`` clock — which lets
 from __future__ import annotations
 
 import json
+import os
+import sys
 import time
 from typing import Any, Dict, List, Optional
 
@@ -39,14 +42,24 @@ from .recorder import Recorder, get_recorder, merge_gauge_maps
 SCHEMA = "repro-trace/1"
 
 
+def machine_info() -> Dict[str, Any]:
+    """Host context stamped into every trace."""
+    # imported lazily to keep repro.obs import-light for instrumented modules
+    import platform
+
+    return {
+        "python": sys.version.split()[0],
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count() or 1,
+    }
+
+
 def build_trace(
     recorder: Optional[Recorder] = None,
     meta: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Serialize a recorder (default: the process recorder) to a payload."""
-    # imported lazily to keep repro.obs import-light for instrumented modules
-    from ..perf import machine_info
-
     recorder = recorder if recorder is not None else get_recorder()
     return {
         "schema": SCHEMA,
@@ -119,8 +132,8 @@ def _validate_numeric_map(value: Any, where: str, errors: List[str]) -> bool:
 def validate_cache_map(owner: Dict[str, Any], where: str, errors: List[str]) -> None:
     """Check the ``cache`` map of ``owner`` (at path ``where``), if it has one.
 
-    Only traces and run records written before the per-instance query
-    memo was removed carry one; current producers write none.
+    Only traces written before the per-instance query memo was removed
+    carry one; current producers write none.
     """
     if "cache" not in owner:
         return
@@ -153,9 +166,8 @@ def validate_trace(payload: Any) -> List[str]:
     """Check a payload against the ``repro-trace/1`` schema; returns problems.
 
     An empty list means the payload is valid.  Dependency-free (no
-    jsonschema in this environment), in the style of
-    :func:`repro.perf.validate_report`, and strict about the aggregate:
-    the summed counters must equal parent + workers.
+    jsonschema dependency), and strict about the aggregate: the summed
+    counters must equal parent + workers.
     """
     errors: List[str] = []
     if not isinstance(payload, dict):

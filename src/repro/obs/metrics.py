@@ -1,9 +1,9 @@
 """Live service metrics: latency histograms, rate meters, exposition.
 
 The tracing layer (:mod:`repro.obs.recorder`) answers *post-hoc*
-questions — export a span tree after the run, diff it against a
-baseline.  A long-running service needs the complementary *live* view:
-latency **distributions** (a mean hides the bimodal cache-hit/miss
+questions — export a span tree after the run and read it.  A
+long-running service needs the complementary *live* view: latency
+**distributions** (a mean hides the bimodal cache-hit/miss
 split entirely), short-window request **rates**, and a snapshot you can
 scrape at any moment without stopping the world.  This module provides
 the primitives the verdict server's ``/metrics`` endpoint serves:
@@ -256,7 +256,7 @@ def validate_metrics(payload: Any) -> List[str]:
     """Check one snapshot against ``repro-metrics/1``; returns problems.
 
     Dependency-free and strict, in the style of
-    :func:`repro.obs.store.validate_run_record` — the soak harness
+    :func:`repro.obs.export.validate_trace` — the soak harness
     validates every scrape, so exposition drift fails fast.
     """
     errors: List[str] = []

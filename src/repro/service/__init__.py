@@ -5,8 +5,8 @@ spec, so a verdict computed once should be served forever.  This package
 is the long-running layer that makes that true:
 
 * :mod:`repro.service.keys` — the one shared content-hashing vocabulary
-  (extracted from the telemetry store's run ids and the tower
-  diskstore's content keys) every cache and store now agrees on;
+  (extracted from the tower diskstore's content keys) every cache and
+  store now agrees on;
 * :mod:`repro.service.protocol` — the ``repro-service/1`` request /
   response schema, request canonicalization and the deterministic
   ``repro-verdict/1`` verdict JSON shared bit-for-bit with the CLI;
@@ -22,9 +22,7 @@ is the long-running layer that makes that true:
   existing decide path;
 * :mod:`repro.service.server` — the stdlib asyncio HTTP server;
 * :mod:`repro.service.client` — the blocking client and the zipf-skewed
-  load generator behind ``repro serve-bench``;
-* :mod:`repro.service.bench` — the duplicate-heavy load benchmark behind
-  ``repro serve-bench``, which writes a ``repro-perf/1`` report;
+  load generator behind ``repro serve-soak`` and CI's replay gate;
 * :mod:`repro.service.accesslog` — structured JSONL access logging, one
   line per completed request, joinable to trace spans by request id;
 * :mod:`repro.service.soak` — the sustained-load soak harness behind
@@ -32,23 +30,22 @@ is the long-running layer that makes that true:
   slopes for RSS/keymap/cache entries and gates them against budgets
   (``repro-soak/1``).
 
-Only :mod:`~repro.service.keys` is imported eagerly: lower layers
-(:mod:`repro.topology.diskstore`, :mod:`repro.obs.store`) import it for
-their hashes, so the package root must not pull the HTTP/execution
-modules (which import those layers back) at import time.
+Only :mod:`~repro.service.keys` is imported eagerly: a lower layer
+(:mod:`repro.topology.diskstore`) imports it for its hashes, so the
+package root must not pull the HTTP/execution modules (which import
+that layer back) at import time.
 """
 
 from __future__ import annotations
 
 import importlib
 
-from .keys import canonical_dumps, content_hash, json_hash, record_id
+from .keys import canonical_dumps, content_hash, json_hash
 
 #: submodules resolved lazily via module ``__getattr__`` (PEP 562)
 _SUBMODULES = (
     "accesslog",
     "batch",
-    "bench",
     "cache",
     "client",
     "execution",
@@ -70,6 +67,5 @@ __all__ = [
     "canonical_dumps",
     "content_hash",
     "json_hash",
-    "record_id",
     *_SUBMODULES,
 ]

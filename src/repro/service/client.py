@@ -1,15 +1,16 @@
 """Service client and load generator for the verdict server.
 
 :class:`ServiceClient` is a thin, dependency-free HTTP client
-(:mod:`http.client`) used by tests, the bench harness and the
-``serve-bench`` CLI.  The load-generation half builds **duplicate-heavy**
-request streams — a zipf-skewed draw over a small spec pool, seeded so
-every run replays the same traffic — because the cache-hit behaviour the
-service exists for only shows up under repeated keys.
+(:mod:`http.client`) used by tests, the soak harness and CI's replay
+gate on the service smoke stream.  The load-generation half builds
+**duplicate-heavy** request streams — a zipf-skewed draw over a small
+spec pool, seeded so every run replays the same traffic — because the
+cache-hit behaviour the service exists for only shows up under repeated
+keys.
 
 Latency accounting is client-side wall clock per request (the number a
 caller actually experiences), summarized with the nearest-rank
-percentiles (rank ``ceil(p/100 * n)``) that serve-bench gates on.
+percentiles (rank ``ceil(p/100 * n)``) that the replay gate checks.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Shared content-addressed keys for every cache, store and the service.
 
-Three subsystems independently grew content hashing: the telemetry store
-derives run ids from record bodies (:mod:`repro.obs.store`), the tower
-diskstore hashes canonical facet text (:mod:`repro.topology.diskstore`),
-and the census corpus hashes isomorphism-canonical task text.  The
-service's verdict cache needs the same discipline — a spec must hash
-identically whether it arrives from the CLI, an HTTP request, or a pool
-worker — so the primitive operations live here, dependency-free, and the
-older modules delegate to them.
+Two subsystems independently grew content hashing: the tower diskstore
+hashes canonical facet text (:mod:`repro.topology.diskstore`), and the
+census corpus hashes isomorphism-canonical task text.  The service's
+verdict cache needs the same discipline — a spec must hash identically
+whether it arrives from the CLI, an HTTP request, or a pool worker — so
+the primitive operations live here, dependency-free, and the older
+modules delegate to them.
 
 Two invariants are load-bearing and must never drift:
 
@@ -15,22 +14,19 @@ Two invariants are load-bearing and must never drift:
   the exact digest the tower store and the committed corpus golden
   manifests already embed;
 * :func:`canonical_dumps` is ``json.dumps(payload, sort_keys=True,
-  default=str)`` — the exact serialization telemetry run ids have always
-  hashed, so historical ``run_id`` values stay reproducible.
+  default=str)`` — the exact serialization the service's request keys
+  and cache sizes are computed from.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Iterable
+from typing import Any
 
 #: full sha256 is overkill for cache keys; 40 hex chars (160 bits) keeps
 #: collision odds negligible while staying filename- and eyeball-friendly
 DEFAULT_KEY_LENGTH = 40
-
-#: telemetry run ids predate this module at 12 chars; kept for stability
-RUN_ID_LENGTH = 12
 
 
 def content_hash(text: str, length: int = DEFAULT_KEY_LENGTH) -> str:
@@ -41,9 +37,8 @@ def content_hash(text: str, length: int = DEFAULT_KEY_LENGTH) -> str:
 def canonical_dumps(payload: Any) -> str:
     """Deterministic JSON text of a JSON-safe payload.
 
-    Keys are sorted and non-JSON values fall back to ``str`` — byte-for-
-    byte the serialization :func:`record_id` has hashed since the
-    telemetry store landed, so it must not change.
+    Keys are sorted and non-JSON values fall back to ``str``; request
+    keys hash this text, so it must not change.
     """
     return json.dumps(payload, sort_keys=True, default=str)
 
@@ -53,26 +48,9 @@ def json_hash(payload: Any, length: int = DEFAULT_KEY_LENGTH) -> str:
     return content_hash(canonical_dumps(payload), length=length)
 
 
-def record_id(
-    record: Dict[str, Any],
-    exclude: Iterable[str] = ("run_id",),
-    length: int = RUN_ID_LENGTH,
-) -> str:
-    """Content hash over a record body, excluding the id field(s) itself.
-
-    This is the telemetry store's ``run_id`` derivation: stable across
-    processes, collision-safe, and independent of insertion order.
-    """
-    skip = frozenset(exclude)
-    body = {k: v for k, v in record.items() if k not in skip}
-    return json_hash(body, length=length)
-
-
 __all__ = [
     "DEFAULT_KEY_LENGTH",
-    "RUN_ID_LENGTH",
     "canonical_dumps",
     "content_hash",
     "json_hash",
-    "record_id",
 ]

@@ -239,8 +239,8 @@ def validate_response(payload: Any) -> List[str]:
     """Check one envelope against ``repro-service/1``; returns problems.
 
     Dependency-free and strict, in the style of
-    :func:`repro.perf.validate_report` — CI smoke jobs validate every
-    served response so schema drift fails fast.
+    :func:`repro.obs.export.validate_trace` — CI smoke jobs validate
+    every served response so schema drift fails fast.
     """
     errors: List[str] = []
     if not isinstance(payload, dict):

@@ -1,13 +1,13 @@
 """The sustained-soak harness: growth-gated long-haul load.
 
-``serve-bench`` answers "how fast is a warm cache?" with two passes.
-This module answers the operational question the ROADMAP's soak item
-asks — **does the server leak?** — which two passes cannot: RSS,
+Two replay passes answer "how fast is a warm cache?".  This module
+answers the operational question the ROADMAP's soak item asks — **does
+the server leak?** — which two passes cannot: RSS,
 keymap and cache growth only separate from warmup noise over a
 sustained run.  The methodology:
 
-1. drive a seeded zipf workload (the same duplicate-heavy stream the
-   bench uses) from ``concurrency`` client threads that *cycle* the
+1. drive a seeded zipf workload (the duplicate-heavy stream of
+   :func:`repro.service.client.make_workload`) from ``concurrency`` client threads that *cycle* the
    stream until the deadline — a fixed request count would make the
    observed duration depend on server speed, and growth slopes need a
    controlled time axis;
@@ -25,9 +25,7 @@ sustained run.  The methodology:
 Per-request latencies are folded straight into a
 :class:`repro.obs.metrics.LatencyHistogram` (bounded memory: an
 hours-long soak must not accumulate a per-request list), and the report
-is schema-validated ``repro-soak/1`` — ingestable into the telemetry
-store via ``repro obs ingest`` so ``obs trend`` tracks slopes across
-commits.
+is schema-validated ``repro-soak/1``.
 """
 
 from __future__ import annotations

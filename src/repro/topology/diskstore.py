@@ -22,9 +22,9 @@ cache:
   and the entry is left alone — deleting a healthy entry because the
   disk hiccuped would destroy good cache state;
 * every hit/miss/write/corruption/io-error increments a
-  ``diskstore.<namespace>.*`` counter in :mod:`repro.obs`, so ``repro
-  obs diff`` can lock cache effectiveness in against committed
-  baselines.
+  ``diskstore.<namespace>.*`` counter in :mod:`repro.obs`, so a trace
+  shows whether the store was hit, and the tier-1 counter golden pins a
+  cold decide's transform miss and write.
 
 :func:`store_disabled` (or ``REPRO_TOWER_CACHE=off``) is the one way to
 run with the store off, for instance to measure an uncached baseline.

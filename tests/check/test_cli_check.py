@@ -205,16 +205,11 @@ def test_write_baseline_roundtrip(tmp_path, capsys):
 
 
 def test_effects_run_records_diag_counters(tmp_path, capsys):
-    store = tmp_path / "telemetry.jsonl"
-    assert main(["check", "--effects", "--store", str(store)]) == 0
+    trace = tmp_path / "trace-check.json"
+    assert main(["check", "--effects", "--trace", str(trace)]) == 0
     capsys.readouterr()
-    records = [
-        json.loads(line)
-        for line in store.read_text().splitlines()
-        if line.strip()
-    ]
-    assert len(records) == 1
-    assert records[0]["command"] == "check"
-    counters = records[0]["counters"]
+    payload = json.loads(trace.read_text())
+    assert payload["meta"]["command"] == "check"
+    counters = payload["counters"]
     assert counters.get("check.errors") == 0
     assert counters.get("check.warnings") == 0

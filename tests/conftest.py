@@ -19,17 +19,6 @@ from repro.topology.simplex import Simplex, chrom
 
 
 @pytest.fixture(autouse=True)
-def _isolated_telemetry(tmp_path, monkeypatch):
-    """Point $REPRO_TELEMETRY at a per-test path.
-
-    Traced CLI invocations append ``repro-run/1`` records to the resolved
-    store; without this every test that passes ``--trace`` would write
-    into the repo's ``.repro/telemetry.jsonl``.
-    """
-    monkeypatch.setenv("REPRO_TELEMETRY", str(tmp_path / "telemetry.jsonl"))
-
-
-@pytest.fixture(autouse=True)
 def _isolated_tower_store(tmp_path, monkeypatch):
     """Point $REPRO_TOWER_CACHE at a per-test directory.
 

@@ -1,8 +1,8 @@
 """The shared hashing module: byte-stability is the whole contract.
 
-Committed corpus manifests embed :func:`content_hash` digests and
-historical telemetry stores embed :func:`record_id` run ids, so these
-tests pin exact output bytes, not just self-consistency.
+Committed corpus manifests and the tower diskstore embed
+:func:`content_hash` digests, so these tests pin exact output bytes,
+not just self-consistency.
 """
 
 from __future__ import annotations
@@ -11,11 +11,9 @@ import hashlib
 
 from repro.service.keys import (
     DEFAULT_KEY_LENGTH,
-    RUN_ID_LENGTH,
     canonical_dumps,
     content_hash,
     json_hash,
-    record_id,
 )
 
 
@@ -37,6 +35,11 @@ class TestContentHash:
         assert len(content_hash("x", length=12)) == 12
         assert content_hash("x", length=12) == content_hash("x")[:12]
 
+    def test_diskstore_reexports_the_same_function(self):
+        from repro.topology import diskstore
+
+        assert diskstore.content_hash is content_hash
+
 
 class TestCanonicalDumps:
     def test_key_order_is_irrelevant(self):
@@ -54,29 +57,3 @@ class TestCanonicalDumps:
     def test_json_hash_is_hash_of_canonical_text(self):
         payload = {"op": "decide", "params": {"max_rounds": 2}}
         assert json_hash(payload) == content_hash(canonical_dumps(payload))
-
-
-class TestRecordId:
-    def test_matches_telemetry_run_id_derivation(self):
-        # the historical _run_id semantics: hash the record body minus
-        # the run_id field itself, truncated to 12 chars
-        record = {"command": "decide", "task": "consensus", "run_id": "xxx"}
-        body = {k: v for k, v in record.items() if k != "run_id"}
-        assert record_id(record) == json_hash(body, length=RUN_ID_LENGTH)
-        assert len(record_id(record)) == RUN_ID_LENGTH
-
-    def test_id_field_does_not_feed_back(self):
-        a = {"command": "decide", "run_id": "aaa"}
-        b = {"command": "decide", "run_id": "bbb"}
-        assert record_id(a) == record_id(b)
-
-    def test_obs_store_delegates_here(self):
-        from repro.obs.store import _run_id
-
-        record = {"command": "census", "counters": {"n": 3}}
-        assert _run_id(record) == record_id(record)
-
-    def test_diskstore_reexports_the_same_function(self):
-        from repro.topology import diskstore
-
-        assert diskstore.content_hash is content_hash

@@ -2,18 +2,15 @@
 
 One short in-process soak per scenario (seconds, not the 20s default)
 exercises the full pipeline: load workers, periodic ``/metrics``
-scrapes, slope fitting over the server's resource ring, budget gating,
-and the ``repro obs ingest`` path that turns a soak report into a
-trendable run record.  The acceptance pair — exit 0 under budget,
-exit 1 over — runs through the real CLI.
+scrapes, slope fitting over the server's resource ring and budget
+gating.  The acceptance pair — exit 0 under budget, exit 1 over — runs
+through the real CLI.
 """
 
 import json
 
 import pytest
 
-from repro.obs import format_trend, load_record_file, validate_run_record
-from repro.obs.store import soak_run_record
 from repro.service.server import ServerConfig
 from repro.service.soak import (
     SoakBudgets,
@@ -111,38 +108,6 @@ class TestValidateSoakReport:
         doc, _ = report
         bad = dict(doc, passed=False)
         assert any("agree" in p for p in validate_soak_report(bad))
-
-
-class TestSoakIngest:
-    def test_report_condenses_to_a_valid_run_record(self, report):
-        doc, _ = report
-        record = soak_run_record(doc, source="soak.json")
-        assert validate_run_record(record) == []
-        assert record["command"] == "serve-soak"
-        assert record["counters"]["soak.requests"] == doc["requests"]
-        assert record["gauges"]["soak.slope.rss_bytes"] == pytest.approx(
-            doc["slopes"]["rss_bytes"]
-        )
-        assert record["gauges"]["soak.passed"] == 1.0
-        assert record["meta"]["source"] == "soak.json"
-
-    def test_load_record_file_auto_converts_soak_reports(self, report, tmp_path):
-        doc, _ = report
-        path = tmp_path / "soak.json"
-        path.write_text(json.dumps(doc))
-        record = load_record_file(str(path))
-        assert record["schema"] == "repro-run/1"
-        assert record["command"] == "serve-soak"
-
-    def test_trend_renders_soak_records(self, report):
-        # the record carries a "histograms" rider outside the trend
-        # vocabulary — rendering must skip it, not crash (the
-        # forward-compat satellite, exercised end to end)
-        doc, _ = report
-        record = soak_run_record(doc)
-        text = format_trend([record])
-        assert "soak.requests" in text
-        assert "soak_latency" not in text
 
 
 class TestCliExitCodes:

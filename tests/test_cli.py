@@ -129,6 +129,20 @@ class TestDecide:
         assert payload["meta"]["command"] == "decide majority"
         assert payload["spans"][0]["name"] == "decide"
 
+    def test_trace_leaves_no_run_record_in_the_cwd(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["decide", "identity", "--trace", "trace.json"]) == 0
+        assert (tmp_path / "trace.json").is_file()
+        assert not (tmp_path / ".repro").exists()
+
+    def test_profile_memory_without_trace_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["decide", "identity", "--profile-memory"])
+        assert excinfo.value.code == 2
+        assert "--trace FILE" in capsys.readouterr().err
+
 
 class TestTrace:
     def _write_trace(self, tmp_path, name="trace.json"):
@@ -297,43 +311,6 @@ class TestSynthesize:
         assert payload["meta"]["command"] == "synthesize identity"
 
 
-class TestServeBench:
-    def test_emits_a_valid_report_and_passes_its_gates(self, tmp_path, capsys):
-        from repro.perf import validate_report
-
-        out = tmp_path / "bench-service.json"
-        assert (
-            main(
-                [
-                    "serve-bench",
-                    "--requests", "8",
-                    "--concurrency", "2",
-                    "--pool-size", "1",
-                    "--min-hit-rate", "0.5",
-                    "--out", str(out),
-                ]
-            )
-            == 0
-        )
-        assert "hit rate" in capsys.readouterr().out
-        assert validate_report(json.loads(out.read_text())) == []
-
-    def test_failed_gate_exits_one(self, tmp_path, capsys):
-        assert (
-            main(
-                [
-                    "serve-bench",
-                    "--requests", "6",
-                    "--concurrency", "2",
-                    "--pool-size", "1",
-                    "--max-p99-ms", "0.0",
-                ]
-            )
-            == 1
-        )
-        assert "GATE" in capsys.readouterr().err
-
-
 class TestCensus:
     def test_runs(self, capsys):
         assert main(["census", "--seeds", "4"]) == 0
@@ -413,168 +390,6 @@ class TestCensus:
             main(["census", "--seeds", "4", "--shards", "2"])
         with pytest.raises(SystemExit, match="--resume only makes sense"):
             main(["census", "--seeds", "4", "--resume"])
-
-
-class TestObs:
-    def _store_with_runs(self, tmp_path, count=2):
-        """Record ``count`` decide runs into a store; returns its path.
-
-        Every run gets a fresh persistent-cache directory: the recorded
-        counters/cache rates must be run-over-run identical for the diff
-        tests, which a warm subdivision-tower store would break.
-        """
-        from repro.topology import diskstore
-
-        store = tmp_path / "telemetry.jsonl"
-        for i in range(count):
-            with diskstore.store_at(str(tmp_path / f"towers-{i}")):
-                main(["decide", "hourglass", "--store", str(store)])
-        return store
-
-    def test_traced_run_appends_a_valid_record(self, tmp_path, capsys):
-        from repro.obs import load_store
-
-        store = self._store_with_runs(tmp_path, count=2)
-        out = capsys.readouterr().out
-        assert "recorded run" in out
-        records, problems = load_store(str(store))
-        assert problems == []
-        assert len(records) == 2
-        assert all(r["command"] == "decide" for r in records)
-        assert all(r["task"] == "hourglass" for r in records)
-        assert records[0]["argv"][0] == "decide"
-
-    def test_trace_flag_also_records_via_env_store(self, tmp_path, capsys, monkeypatch):
-        from repro.obs import load_store
-
-        store = tmp_path / "env-store.jsonl"
-        monkeypatch.setenv("REPRO_TELEMETRY", str(store))
-        main(["decide", "hourglass", "--trace", str(tmp_path / "t.json")])
-        records, problems = load_store(str(store))
-        assert problems == [] and len(records) == 1
-
-    def test_validate_and_list(self, tmp_path, capsys):
-        store = self._store_with_runs(tmp_path)
-        capsys.readouterr()
-        assert main(["obs", "validate", "--store", str(store)]) == 0
-        assert "2 valid repro-run/1" in capsys.readouterr().out
-        assert main(["obs", "list", "--store", str(store)]) == 0
-        assert "decide" in capsys.readouterr().out
-
-    def test_validate_fails_on_empty_store(self, tmp_path, capsys):
-        missing = tmp_path / "none.jsonl"
-        assert main(["obs", "validate", "--store", str(missing)]) == 1
-        assert "no runs recorded" in capsys.readouterr().err
-
-    def test_validate_fails_on_corrupt_line(self, tmp_path, capsys):
-        store = self._store_with_runs(tmp_path, count=1)
-        with open(store, "a", encoding="utf-8") as fh:
-            fh.write("{broken\n")
-        assert main(["obs", "validate", "--store", str(store)]) == 1
-        assert "not JSON" in capsys.readouterr().err
-
-    def test_trend_renders_history(self, tmp_path, capsys):
-        store = self._store_with_runs(tmp_path)
-        capsys.readouterr()
-        code = main(
-            [
-                "obs",
-                "trend",
-                "--store",
-                str(store),
-                "--metric",
-                "wall",
-                "--command",
-                "decide",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "2 run(s):" in out
-        assert "wall_seconds" in out
-
-    def test_diff_self_vs_self_exits_zero(self, tmp_path, capsys):
-        store = self._store_with_runs(tmp_path)
-        capsys.readouterr()
-        assert main(["obs", "diff", "-2", "-2", "--store", str(store)]) == 0
-        assert "— clean" in capsys.readouterr().out
-
-    def test_diff_injected_regression_exits_nonzero(self, tmp_path, capsys):
-        # acceptance criterion: double one span's wall time in the newest
-        # record and the sentinel must gate
-        store = self._store_with_runs(tmp_path)
-        lines = store.read_text().splitlines()
-        doctored = json.loads(lines[-1])
-        for entry in doctored["spans"].values():
-            entry["wall_seconds"] *= 2.0
-        doctored["spans"]["decide"]["wall_seconds"] += 1.0  # clear the floor
-        lines[-1] = json.dumps(doctored, sort_keys=True)
-        store.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        code = main(
-            ["obs", "diff", "-2", "-1", "--store", str(store), "--min-seconds", "0"]
-        )
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-
-    def test_diff_baseline_file_vs_latest(self, tmp_path, capsys):
-        store = self._store_with_runs(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(store.read_text().splitlines()[0])
-        capsys.readouterr()
-        code = main(
-            ["obs", "diff", "--baseline", str(baseline), "--store", str(store)]
-        )
-        assert code == 0
-        assert "baseline:" in capsys.readouterr().out
-
-    def test_diff_baseline_matches_same_task_not_just_command(self, tmp_path, capsys):
-        # a later decide run of a *different* task must not become the
-        # comparison target — that would chart apples against oranges
-        store = tmp_path / "telemetry.jsonl"
-        main(["decide", "hourglass", "--store", str(store)])
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(store.read_text().splitlines()[0])
-        main(["decide", "identity", "--store", str(store)])
-        capsys.readouterr()
-        assert (
-            main(["obs", "diff", "--baseline", str(baseline), "--store", str(store)])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert out.count("hourglass") == 2  # both sides are the hourglass run
-
-    def test_diff_needs_two_refs_without_baseline(self, tmp_path):
-        store = self._store_with_runs(tmp_path, count=1)
-        with pytest.raises(SystemExit, match="two run references"):
-            main(["obs", "diff", "-1", "--store", str(store)])
-
-    def test_diff_unknown_ref_rejected(self, tmp_path):
-        store = self._store_with_runs(tmp_path, count=1)
-        with pytest.raises(SystemExit, match="no run with id prefix"):
-            main(["obs", "diff", "zzz", "yyy", "--store", str(store)])
-
-    def test_ingest_bench_report(self, tmp_path, capsys):
-        report = tmp_path / "bench-service.json"
-        bench = ["serve-bench", "--requests", "8", "--concurrency", "2",
-                 "--pool-size", "1", "--out", str(report)]
-        assert main(bench) == 0
-        capsys.readouterr()
-        store = tmp_path / "telemetry.jsonl"
-        assert main(["obs", "ingest", str(report), "--store", str(store)]) == 0
-        assert "ingested" in capsys.readouterr().out
-        assert main(["obs", "validate", "--store", str(store)]) == 0
-
-    def test_ingest_garbage_fails(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        store = tmp_path / "telemetry.jsonl"
-        assert main(["obs", "ingest", str(bad), "--store", str(store)]) == 1
-
-    def test_ingest_needs_files(self, tmp_path):
-        with pytest.raises(SystemExit, match="needs one or more"):
-            main(["obs", "ingest", "--store", str(tmp_path / "t.jsonl")])
 
 
 CONFORM_FAST = ["--random-runs", "1", "--exhaustive", "4", "--no-adversarial"]

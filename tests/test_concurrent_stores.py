@@ -1,28 +1,18 @@
-"""Concurrent writers against the persistent stores: no torn records.
+"""Concurrent writers against the shared stores: no torn records.
 
-The service runs the telemetry JSONL store and the diskstore from
-multiple threads (client workers, the server thread, pool workers), so
-both must tolerate racing writers: every JSONL line must stay a
-complete record, and a diskstore key raced by two writers must end up
-wholly one value or wholly the other — never interleaved bytes.
+The service runs the diskstore and the verdict cache from multiple
+threads (client workers, the server thread, pool workers), so both must
+tolerate racing writers: a diskstore key raced by two writers must end
+up wholly one value or wholly the other — never interleaved bytes.
 """
 
 from __future__ import annotations
 
 import threading
 
-from repro import obs
-from repro.obs.store import append_run, load_store
 from repro.service.cache import VerdictCache
 from repro.service.protocol import make_response
 from repro.topology import diskstore
-
-
-def _run_record(i: int) -> dict:
-    payload = obs.build_trace(meta={"command": "decide"})
-    return obs.build_run_record(
-        payload, command="decide", argv=["decide", "consensus"], task=f"t{i}"
-    )
 
 
 def _race(n_threads: int, work) -> list:
@@ -45,24 +35,6 @@ def _race(n_threads: int, work) -> list:
     for t in threads:
         t.join()
     return errors
-
-
-class TestTelemetryStoreConcurrency:
-    def test_parallel_append_run_leaves_no_torn_records(self, tmp_path):
-        store_path = str(tmp_path / "telemetry.jsonl")
-        n_threads, per_thread = 8, 5
-
-        def work(i: int) -> None:
-            for j in range(per_thread):
-                append_run(_run_record(i * per_thread + j), store_path)
-
-        assert _race(n_threads, work) == []
-        records, problems = load_store(store_path)
-        assert problems == []
-        assert len(records) == n_threads * per_thread
-        # every record round-tripped completely: distinct tasks all present
-        tasks = {r["task"] for r in records}
-        assert len(tasks) == n_threads * per_thread
 
 
 class TestDiskstoreConcurrency:

@@ -27,7 +27,6 @@ def test_decide_never_imports_networkx(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in [src, env.get("PYTHONPATH", "")] if p)
     env["REPRO_TOWER_CACHE"] = str(tmp_path / "towers")
-    env["REPRO_TELEMETRY"] = str(tmp_path / "telemetry.jsonl")
     out = subprocess.run(
         [sys.executable, "-c", SCRIPT],
         capture_output=True,

@@ -300,6 +300,14 @@ class TestExport:
         assert payload["spans"][0]["children"][0]["name"] == "transform"
         assert payload["aggregate"]["counters"]["splits"] == 5.0
 
+    def test_machine_info_fields(self):
+        from repro.obs.export import machine_info
+
+        info = machine_info()
+        assert isinstance(info["cpu_count"], int) and info["cpu_count"] >= 1
+        assert isinstance(info["python"], str)
+        assert build_trace()["machine"].keys() == info.keys()
+
     def test_write_trace_roundtrips(self, tmp_path):
         _recorded_trace()
         path = tmp_path / "trace.json"

@@ -1,10 +1,9 @@
 """Round-trip fuzz: random recorders must export schema-valid traces.
 
-Satellite of the telemetry-store PR: drive the recorder with randomized
-span trees, counters, gauges (random merge policies) and worker
-snapshots, then check that every ``build_trace`` payload (a) passes
-``validate_trace``, (b) survives a JSON dump/load unchanged, and (c)
-condenses into a valid ``repro-run/1`` record.  The validator recomputes
+Drive the recorder with randomized span trees, counters, gauges (random
+merge policies) and worker snapshots, then check that every
+``build_trace`` payload (a) passes ``validate_trace`` and (b) survives a
+JSON dump/load unchanged.  The validator recomputes
 aggregates, so any drift between the recorder's merge logic and the
 schema's would surface here as a seed-numbered failure.
 """
@@ -72,9 +71,6 @@ def test_random_recorders_roundtrip(seed):
     reloaded = json.loads(json.dumps(payload))
     assert reloaded == payload, f"seed {seed}: JSON round-trip changed the payload"
     assert obs.validate_trace(reloaded) == []
-
-    record = obs.build_run_record(reloaded, command="fuzz", task=None)
-    assert obs.validate_run_record(record) == [], f"seed {seed}"
 
 
 @pytest.mark.parametrize("seed", range(10))
