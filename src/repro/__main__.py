@@ -81,6 +81,7 @@ from .runtime.conformance import (
 )
 from .service import execution as service_execution
 from .service.protocol import ProtocolError, ServiceRequest
+from .service.workers import DEFAULT_POOL, POOL_KINDS
 from .solvability import Status
 from .tasks.task import Task
 from .topology.dot import write_dot
@@ -323,10 +324,7 @@ def cmd_serve(args) -> int:
     import asyncio
 
     from .service.server import ServerConfig, SolvabilityServer
-    from .service.workers import POOL_KINDS
 
-    if args.pool not in POOL_KINDS:
-        raise SystemExit(f"--pool must be one of {POOL_KINDS}, got {args.pool!r}")
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -735,10 +733,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--pool",
-        choices=["thread", "process", "inline"],
-        default="thread",
-        help="worker pool kind (default thread; 'inline' executes on the "
-        "event loop, for debugging)",
+        choices=POOL_KINDS,
+        default=DEFAULT_POOL,
+        help=f"worker pool kind (default {DEFAULT_POOL}: decides run in "
+        "forked worker processes, off the event loop; 'thread' keeps the "
+        "decide path's spans and counters in the server; 'inline' executes "
+        "on the event loop, for debugging)",
     )
     p.add_argument(
         "--access-log",
@@ -868,9 +868,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--pool",
-        choices=["thread", "process", "inline"],
+        choices=POOL_KINDS,
         default="thread",
-        help="in-process server: pool kind",
+        help="in-process server: pool kind (default thread, so that the RSS "
+        "budget covers the decides)",
     )
     _add_observability_args(p)
     p.set_defaults(fn=cmd_serve_soak)

@@ -211,7 +211,14 @@ def workload_duplication(requests: Sequence[Dict[str, Any]]) -> float:
 
 @dataclass
 class LoadResult:
-    """Per-request latencies and envelope flags from one load run."""
+    """Per-request latencies and envelope flags from one load run.
+
+    ``error_count`` counts ``ok: false`` envelopes and requests that
+    failed in transport (refused or dropped connection, a reply with no
+    envelope).  The latter have no latency, so ``ok_count +
+    error_count`` is the stream length and ``n_requests`` (the measured
+    requests) falls short of it by the transport failures.
+    """
 
     latencies: List[float] = field(default_factory=list)
     cached_flags: List[bool] = field(default_factory=list)
@@ -262,7 +269,9 @@ def run_load(
     ``concurrency`` worker threads each hold one keep-alive connection
     and pull payloads from a shared cursor, so the stream's order is
     preserved per worker but interleaves across workers — the same shape
-    a real duplicate-heavy client population produces.
+    a real duplicate-heavy client population produces.  Every request is
+    sent, so a failed one counts in ``error_count`` instead of ending its
+    worker and leaving the rest of the stream unsent.
     """
     if concurrency < 1:
         raise ValueError(f"concurrency must be at least 1, got {concurrency}")
@@ -271,15 +280,26 @@ def run_load(
     cursor = iter(range(len(requests)))
 
     def worker() -> None:
-        client = ServiceClient(url)
+        client: Optional[ServiceClient] = None
         try:
             while True:
                 with lock:
                     index = next(cursor, None)
                 if index is None:
                     return
-                started = time.perf_counter()
-                response = client.solve(requests[index])
+                try:
+                    if client is None:
+                        client = ServiceClient(url)
+                    started = time.perf_counter()
+                    response = client.solve(requests[index])
+                except (OSError, http.client.HTTPException, ServiceError):
+                    # the request failed; the next one gets a fresh connection
+                    if client is not None:
+                        client.close()
+                        client = None
+                    with lock:
+                        result.error_count += 1
+                    continue
                 latency = time.perf_counter() - started
                 with lock:
                     result.latencies.append(latency)
@@ -289,7 +309,8 @@ def run_load(
                     else:
                         result.error_count += 1
         finally:
-            client.close()
+            if client is not None:
+                client.close()
 
     threads = [
         threading.Thread(target=worker, name=f"repro-load-{i}")

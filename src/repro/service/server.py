@@ -56,7 +56,7 @@ from .protocol import (
     canonical_body,
     parse_request,
 )
-from .workers import make_pool, run_request_batch
+from .workers import DEFAULT_POOL, make_pool, run_request_batch, start_pool
 
 #: maximum accepted request body, in bytes (task JSON is small; a larger
 #: body is almost certainly a client bug or abuse)
@@ -86,7 +86,7 @@ class ServerConfig:
     shards: int = 2
     batch_size: int = 8
     workers: int = 1
-    pool: str = "thread"
+    pool: str = DEFAULT_POOL
     access_log: Optional[str] = None  # JSONL path; None = no access log
     sample_interval: float = 1.0  # resource sampler period, seconds
 
@@ -117,7 +117,6 @@ class SolvabilityServer:
         self._keymap: Dict[str, Tuple[str, Dict[str, Any]]] = {}
         self.access_log: Optional[AccessLog] = None
         self.sampler: Optional[ResourceSampler] = None
-        self._started_unix: Optional[float] = None
         self._started_monotonic: Optional[float] = None
         self._request_seq = 0  # event-loop-only; suffixes request ids
         for name, fn in self._gauge_sources().items():
@@ -143,8 +142,13 @@ class SolvabilityServer:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listen socket and start the shard dispatchers."""
-        self._started_unix = time.time()
+        """Start the pool, the sampler, the shard dispatchers, then listen.
+
+        The pool comes first: a process pool forks its workers before
+        the sampler thread and the resolver thread of ``start_server``
+        exist.
+        """
+        start_pool(self._pool)
         self._started_monotonic = time.monotonic()
         if self.config.access_log:
             self.access_log = AccessLog(self.config.access_log)

@@ -184,7 +184,9 @@ def run_soak(
 
     owned_server: Optional[ServerThread] = None
     if url is None:
-        owned_server = ServerThread(server_config or ServerConfig())
+        # a thread pool by default: decides then grow this process's
+        # RSS, which is the one the RSS budget reads
+        owned_server = ServerThread(server_config or ServerConfig(pool="thread"))
         owned_server.start()
         url = owned_server.url
     state = _LoadState()

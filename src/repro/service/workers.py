@@ -6,21 +6,32 @@ long-lived worker keeps its interned simplices and the zoo registry
 across batches, while its decides load transforms and towers from the
 diskstore.
 
-``pool="thread"`` (default) runs batches on a thread pool inside the
-server process: when tracing is on, the decide path's spans and
-counters land in the process recorder, and with the default single
-worker the span tree stays well-nested.  ``pool="process"`` forks a
-:class:`~concurrent.futures.ProcessPoolExecutor` for CPU-parallel misses
-(worker-side telemetry is not merged back — acceptable for a
-throughput-oriented deployment).  Batch and request counts are the
-dispatcher's (``service.batches`` / ``service.batched_requests`` in
+``pool="process"`` (:data:`DEFAULT_POOL`, the default of
+``ServerConfig.pool`` and of ``repro serve --pool``) decides misses in
+fork-started worker processes.  A decide is milliseconds of pure
+Python; on a thread it holds the interpreter lock that the event loop
+needs to serve cache hits.  :func:`start_pool` forks the workers while
+the server has no thread of its own yet, and each worker exits when the
+server process is gone, however it ended.  Worker-side telemetry (the
+decide path's spans and counters) is not merged back.
+
+``pool="thread"`` runs batches on a thread pool inside the server
+process: when tracing is on, the decide path's spans and counters land
+in the process recorder, and with a single worker the span tree stays
+well-nested.  The in-process soak uses it, so that its RSS gate sees the
+decides.  Batch and request counts are the dispatcher's
+(``service.batches`` / ``service.batched_requests`` in
 :mod:`repro.service.batch`), not counted again here.  ``pool="inline"``
 executes synchronously in the caller, which tests use for determinism.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional
 
 from ..obs import span
@@ -28,6 +39,10 @@ from .execution import execute_payload
 
 #: accepted pool kinds for :func:`make_pool`
 POOL_KINDS = ("thread", "process", "inline")
+
+#: the server's pool kind unless configured otherwise: decides run in
+#: forked processes, off the event loop's interpreter lock
+DEFAULT_POOL = "process"
 
 
 def run_request_batch(payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
@@ -63,9 +78,24 @@ def run_request_batch(payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         return [execute_payload(payload) for payload in cleaned]
 
 
-def warm_worker() -> None:
-    """Process-pool initializer: build the zoo registry's tables once."""
-    from .execution import ZOO  # noqa: F401 - imported for its side effects
+def _exit_with_parent() -> None:
+    """Process-pool initializer: exit as soon as the server is gone.
+
+    A pool worker blocks on a task queue whose write end it inherited,
+    so a server killed by a signal would otherwise leave it running
+    forever, reparented to init.  The parent sentinel is a pipe whose
+    other end only the parent (and workers forked after this one, which
+    exit first by the same rule) holds open.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
 
 
 def make_pool(kind: str, workers: int = 1) -> Optional[Executor]:
@@ -79,8 +109,31 @@ def make_pool(kind: str, workers: int = 1) -> Optional[Executor]:
             max_workers=workers, thread_name_prefix="repro-service"
         )
     if kind == "process":
-        return ProcessPoolExecutor(max_workers=workers, initializer=warm_worker)
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_exit_with_parent,
+        )
     raise ValueError(f"unknown pool kind {kind!r}; use one of {POOL_KINDS}")
 
 
-__all__ = ["POOL_KINDS", "make_pool", "run_request_batch", "warm_worker"]
+def start_pool(pool: Optional[Executor]) -> None:
+    """Fork a process pool's workers now and wait until one answers.
+
+    A fork-context pool forks every worker on its first submit, and only
+    then starts its manager thread.  Calling this before any other
+    thread exists keeps the fork away from locks a thread might hold.
+    A forked worker starts warm: it inherits the server's imports and
+    the zoo registry.  Thread and inline pools have nothing to start.
+    """
+    if isinstance(pool, ProcessPoolExecutor):
+        pool.submit(os.getpid).result()
+
+
+__all__ = [
+    "DEFAULT_POOL",
+    "POOL_KINDS",
+    "make_pool",
+    "run_request_batch",
+    "start_pool",
+]

@@ -17,7 +17,7 @@ from repro.topology import diskstore
 
 @pytest.fixture(scope="module")
 def server():
-    """One shared in-process server (memory-only cache, thread pool)."""
+    """One shared in-process server (default config: a process pool)."""
     with ServerThread(ServerConfig()) as st:
         yield st
 
@@ -209,17 +209,32 @@ class TestSolve:
         # everything after the first computation is a hit or coalesced
         assert result.hit_rate >= 0.5
 
+    def test_load_counts_a_request_without_an_envelope_and_goes_on(self, server):
+        good = {"op": "decide", "task": "fork"}
+        stream = [good, {"op": "decide", "task": "not-a-task"}, good]
+        result = run_load(server.url, stream, concurrency=1)
+        assert (result.n_requests, result.ok_count, result.error_count) == (2, 2, 1)
+
+    def test_load_against_a_closed_port_is_all_errors(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        result = run_load(f"http://127.0.0.1:{port}", [{"task": "fork"}] * 5, concurrency=2)
+        assert (result.n_requests, result.ok_count, result.error_count) == (0, 0, 5)
+
 
 class TestRestart:
     def test_restart_redecides_from_the_decide_stores(self, tmp_path):
         """A restarted server has an empty response cache, but its decide
         loads the transform the first server's decide stored."""
         store = tmp_path / "store"
+        # a thread pool: the store hit is counted on the worker side
+        config = ServerConfig(pool="thread")
         with diskstore.store_at(str(store)):
-            with ServerThread(ServerConfig()) as st, ServiceClient(st.url) as client:
+            with ServerThread(config) as st, ServiceClient(st.url) as client:
                 first = client.decide("majority")
             with obs.tracing() as rec:
-                with ServerThread(ServerConfig()) as st, ServiceClient(st.url) as client:
+                with ServerThread(config) as st, ServiceClient(st.url) as client:
                     second = client.decide("majority")
         assert first["cached"] is False and second["cached"] is False
         assert second["verdict"] == first["verdict"]
