@@ -7,38 +7,43 @@ server: a restarted server re-decides each request once, and those
 decides still load their transforms, towers and class verdicts from the
 persistent :mod:`repro.topology.diskstore`.
 
-Values are complete ``repro-service/1`` response envelopes (JSON-safe
-dicts), not verdict objects: a hit is served byte-for-byte without
-re-rendering, which is also what makes the CLI/service bit-identical
-guarantee cheap to keep.
+Values are hit bodies: the ``repro-service/1`` response envelope with
+``cached: true``, rendered to JSON bytes once, when it is stored
+(:func:`hit_body`).  A hit is written to the socket as it is, with no
+JSON work, and the stored bytes are the ones a fresh render of the
+envelope would give, which is also what keeps the CLI/service
+bit-identical guarantee cheap.
 
 Every probe counts once into the cache's recorder (the server passes
 its own): ``service.cache.hit.memory`` / ``service.cache.miss``, which
 :meth:`VerdictCache.stats` reads back, together with the accounting
-half of the ROADMAP eviction item: the entry count plus an approximate
-byte footprint (estimated from the canonical JSON length — cheap,
-stable across processes, and a sound relative signal for the soak
-growth gate even though the true ``dict`` overhead is larger).
+half of the ROADMAP eviction item: the entry count plus the summed
+length of the stored bodies.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Dict, Optional
 
 from ..obs.recorder import Recorder
-from .keys import canonical_dumps
+
+
+def hit_body(response: Dict[str, Any]) -> bytes:
+    """The HTTP body a cache hit on ``response`` is answered with."""
+    return json.dumps(dict(response, cached=True), sort_keys=True).encode("utf-8")
 
 
 class VerdictCache:
-    """In-memory content-addressed response cache."""
+    """In-memory content-addressed cache of rendered hit bodies."""
 
     def __init__(self, recorder: Optional[Recorder] = None) -> None:
-        self._memory: Dict[str, Dict[str, Any]] = {}
+        self._memory: Dict[str, bytes] = {}
         self.recorder = recorder if recorder is not None else Recorder()
         self._memory_bytes = 0
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """A cached response envelope, or ``None`` on miss."""
+    def get(self, key: str) -> Optional[bytes]:
+        """The cached hit body, or ``None`` on miss."""
         response = self._memory.get(key)
         if response is not None:
             self.recorder.add_counter("service.cache.hit.memory")
@@ -47,7 +52,7 @@ class VerdictCache:
         return response
 
     def put(self, key: str, response: Dict[str, Any]) -> None:
-        """Memoize one response; only successes are worth keeping.
+        """Render and memoize one response; only successes are worth keeping.
 
         Failed responses (budget exhaustion, preflight rejections) stay
         out: budgets and code change, and a cached failure would outlive
@@ -55,9 +60,9 @@ class VerdictCache:
         """
         if not response.get("ok"):
             return
-        if key not in self._memory:
-            self._memory_bytes += len(canonical_dumps(response))
-        self._memory[key] = response
+        body = hit_body(response)
+        self._memory_bytes += len(body) - len(self._memory.get(key, b""))
+        self._memory[key] = body
 
     def stats(self) -> Dict[str, Any]:
         """Hit/miss totals, the hit rate and the size accounting.
@@ -83,12 +88,11 @@ class VerdictCache:
         }
 
     def memory_size_stats(self) -> Dict[str, int]:
-        """The entry count and approximate bytes.
+        """The entry count and the summed length of the stored bodies.
 
         O(1) — safe for per-scrape gauges and per-second samplers.
-        Bytes are the summed canonical-JSON lengths of the stored
-        envelopes (an underestimate of true ``dict`` footprint, but
-        monotone in it).
+        ``approx_bytes`` keeps its name for readers of ``/v1/stats``; it
+        is exact for the bodies and leaves out the dict's own overhead.
         """
         return {
             "entries": len(self._memory),
@@ -96,4 +100,4 @@ class VerdictCache:
         }
 
 
-__all__ = ["VerdictCache"]
+__all__ = ["VerdictCache", "hit_body"]

@@ -1,17 +1,21 @@
 """The asyncio verdict server: stdlib HTTP over the shared request layer.
 
-One process, one event loop, no framework: connections are accepted with
-:func:`asyncio.start_server` and HTTP/1.1 is parsed by hand (request
-line, headers, ``Content-Length`` body — the subset the protocol
-needs).  The solve path is
+One process, one event loop, no framework: every connection is a
+:class:`_Connection` protocol made by ``loop.create_server``, and
+HTTP/1.1 is parsed by hand from its receive buffer (request line,
+headers, ``Content-Length`` body — the subset the protocol needs).  The
+solve path is
 
-    parse -> resolve task -> content key -> cache probe -> batch submit
+    keymap (raw body bytes) -> content key -> cache probe -> batch submit
 
-where the cache probe serves hits without touching the worker pool and a
-miss rides a per-shard batch into :func:`repro.service.workers
-.run_request_batch`.  Responses to ``POST /v1/solve`` are
-``repro-service/1`` envelopes; ``GET /healthz`` and ``GET /v1/stats``
-exist for probes and the load generator.
+A request whose body bytes the keymap has seen and whose key the cache
+holds is answered inside ``data_received``: no task, no await and no
+JSON work, since the cache stores rendered hit bodies.  Anything else
+runs as a task: a never-seen body is parsed and its task resolved into a
+content key, and a cache miss rides a per-shard batch into
+:func:`repro.service.workers.run_request_batch`.  Responses to ``POST
+/v1/solve`` are ``repro-service/1`` envelopes; ``GET /healthz`` and
+``GET /v1/stats`` exist for probes and the load generator.
 
 Live observability (the tentpole wiring):
 
@@ -40,7 +44,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Awaitable, Callable, Dict, Optional, Tuple, Union
 
 from ..obs.metrics import build_metrics, prometheus_text
 from ..obs.recorder import Recorder, get_recorder, tracing_enabled
@@ -49,7 +53,7 @@ from .accesslog import AccessLog
 from .batch import BatchQueue
 from .cache import VerdictCache
 from .execution import resolve_task
-from .keys import canonical_dumps, content_hash, json_hash
+from .keys import content_hash, json_hash
 from .protocol import (
     ProtocolError,
     SCHEMA,
@@ -62,12 +66,15 @@ from .workers import DEFAULT_POOL, make_pool, run_request_batch, start_pool
 #: body is almost certainly a client bug or abuse)
 MAX_BODY_BYTES = 1 << 20
 
+#: maximum request line plus headers, in bytes: a connection that
+#: buffers more without a blank line gets a 400 and is closed
+MAX_HEAD_BYTES = 1 << 16
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
-    413: "Payload Too Large",
     500: "Internal Server Error",
 }
 
@@ -75,6 +82,175 @@ _REASONS = {
 #: ``not_found``, so untrusted paths cannot grow ``/metrics``
 _ROUTE_LABELS = {"/healthz": "healthz", "/v1/stats": "v1.stats",
                  "/metrics": "metrics", "/v1/solve": "v1.solve"}
+
+#: the request-id prefix of a solve request that has no content key
+_SOLVE_ID = content_hash("POST /v1/solve")
+
+#: a response body: a JSON-safe dict, rendered bytes of JSON (a cache
+#: hit), or ``(text, content type)``
+Payload = Union[Dict[str, Any], bytes, Tuple[str, str]]
+#: what routing a request yields: status, payload and access-log facts
+Answer = Tuple[int, Payload, Dict[str, Any]]
+
+
+def _render(status: int, payload: Payload, keep_alive: bool) -> bytes:
+    """One HTTP/1.1 response: status line, headers and body."""
+    if isinstance(payload, bytes):
+        body, content_type = payload, "application/json"
+    elif isinstance(payload, tuple):
+        text, content_type = payload
+        body = text.encode("utf-8")
+    else:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        content_type = "application/json"
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        "\r\n"
+    ).encode("latin-1")
+    return head + body
+
+
+def _parse_head(head: bytes) -> Tuple[str, str, Dict[str, str], int]:
+    """Method, path, headers and body length of one request head.
+
+    ``head`` runs from the request line through the CRLF that ends the
+    last header line.
+    """
+    line_end = head.find(b"\n") + 1
+    request_line = head[:line_end]
+    parts = request_line.decode("latin-1").split()
+    if len(parts) != 3:
+        raise ProtocolError(f"malformed request line {request_line!r}")
+    method, path, _version = parts
+    headers: Dict[str, str] = {}
+    for line in head[line_end:].decode("latin-1").split("\r\n"):
+        if line:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+    raw_length = headers.get("content-length", "0") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise ProtocolError(f"malformed Content-Length {raw_length!r}")
+    length = int(raw_length)
+    if length > MAX_BODY_BYTES:
+        raise ProtocolError(f"request body of {length} bytes is too large")
+    return method, path, headers, length
+
+
+class _Connection(asyncio.Protocol):
+    """One keep-alive HTTP connection, answered in request order.
+
+    A solve request whose body the keymap knows and whose key the cache
+    holds is answered inside :meth:`data_received`.  Any other request
+    runs as a task; until the task has written its response the
+    connection neither parses nor reads, so later requests cannot
+    overtake it and the buffer stays bounded.  The same holds while the
+    transport's write buffer is above its high-water mark.
+    """
+
+    def __init__(self, server: "SolvabilityServer") -> None:
+        self._server = server
+        self._transport: Any = None
+        self._buffer = bytearray()
+        self._task: Optional["asyncio.Task[None]"] = None
+        self._write_paused = False
+        # (method, path, start time, keep-alive) of the request being
+        # answered: there is one at a time
+        self._request: Tuple[str, str, float, bool] = ("-", "-", 0.0, False)
+
+    def connection_made(self, transport: Any) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._process()
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._resume()
+
+    def _resume(self) -> None:
+        if self._task is None and not self._write_paused:
+            self._transport.resume_reading()
+            self._process()
+
+    def _process(self) -> None:
+        """Answer the complete requests in the buffer, in order."""
+        server = self._server
+        buffer = self._buffer
+        while (
+            self._task is None
+            and not self._write_paused
+            and not self._transport.is_closing()
+        ):
+            end = buffer.find(b"\r\n\r\n", 0, MAX_HEAD_BYTES + 4)
+            if end < 0:
+                if len(buffer) > MAX_HEAD_BYTES:
+                    self._reject(f"request head exceeds {MAX_HEAD_BYTES} bytes")
+                return
+            try:
+                method, path, headers, length = _parse_head(bytes(buffer[: end + 2]))
+            except ProtocolError as exc:
+                self._reject(str(exc))
+                return
+            start = end + 4
+            if len(buffer) < start + length:
+                return
+            body = bytes(buffer[start : start + length])
+            del buffer[: start + length]
+            keep_alive = headers.get("connection", "").lower() != "close"
+            self._request = (method, path, time.perf_counter(), keep_alive)
+            if method == "POST" and path == "/v1/solve":
+                known = server._keymap.get(body)
+                if known is not None:
+                    server.recorder.add_counter("service.keymap.hit")
+                    access: Dict[str, Any] = {"route": "v1.solve"}
+                    hit = server._probe(*known, access)
+                    if hit is not None:
+                        self._reply(200, hit, access)
+                        continue
+                    self._defer(server._decide(*known, access))
+                    return
+            self._defer(server._route(method, path, body))
+
+    def _defer(self, answer: Awaitable[Answer]) -> None:
+        """Answer one request from a task; stop reading until it replies."""
+
+        async def reply_later() -> None:
+            try:
+                status, payload, access = await answer
+            except BaseException:
+                self._transport.close()
+                raise
+            self._task = None
+            self._reply(status, payload, access)
+            self._resume()
+
+        self._transport.pause_reading()
+        self._task = asyncio.get_running_loop().create_task(reply_later())
+
+    def _reply(self, status: int, payload: Payload, access: Dict[str, Any]) -> None:
+        method, path, started, keep_alive = self._request
+        self._server._observe(
+            method, path, status, time.perf_counter() - started, access
+        )
+        if not self._transport.is_closing():  # the client may have gone
+            self._transport.write(_render(status, payload, keep_alive))
+            if not keep_alive:
+                self._transport.close()
+
+    def _reject(self, message: str) -> None:
+        """Answer a request too malformed to route with a 400, and close."""
+        self._server._observe("-", "-", 400, 0.0, {})
+        self._transport.write(_render(400, {"error": message}, keep_alive=False))
+        self._transport.close()
+        self._buffer.clear()
 
 
 @dataclass
@@ -109,12 +285,11 @@ class SolvabilityServer:
         )
         self._server: Optional[asyncio.base_events.Server] = None
         self.port: Optional[int] = None
-        # spelling -> (request key, canonical body).  Computing a request
-        # key means *building the task* (a zoo constructor plus tagged
-        # re-serialization, tens of ms for the bigger complexes), which
-        # would dominate every cached hit; a byte-identical payload can
-        # reuse the canonicalization the first sighting paid for.
-        self._keymap: Dict[str, Tuple[str, Dict[str, Any]]] = {}
+        # raw request body -> (request key, canonical body).  Computing a
+        # request key means *building the task* (see _canonicalize), which
+        # would dominate every cached hit; a byte-identical body reuses the
+        # canonicalization the first sighting paid for.
+        self._keymap: Dict[bytes, Tuple[str, Dict[str, Any]]] = {}
         self.access_log: Optional[AccessLog] = None
         self.sampler: Optional[ResourceSampler] = None
         self._started_monotonic: Optional[float] = None
@@ -145,7 +320,7 @@ class SolvabilityServer:
         """Start the pool, the sampler, the shard dispatchers, then listen.
 
         The pool comes first: a process pool forks its workers before
-        the sampler thread and the resolver thread of ``start_server``
+        the sampler thread and the resolver thread of ``create_server``
         exist.
         """
         start_pool(self._pool)
@@ -157,8 +332,8 @@ class SolvabilityServer:
         )
         self.sampler.start()
         await self.batches.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -185,40 +360,7 @@ class SolvabilityServer:
         async with self._server:
             await self._server.serve_forever()
 
-    # -- HTTP --------------------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    parsed = await self._read_request(reader)
-                except ProtocolError as exc:
-                    self._observe("-", "-", 400, 0.0, {})
-                    await self._write_response(
-                        writer, 400, {"error": str(exc)}, keep_alive=False
-                    )
-                    break
-                if parsed is None:
-                    break
-                method, path, headers, body = parsed
-                started = time.perf_counter()
-                status, payload, access = await self._route(method, path, body)
-                latency = time.perf_counter() - started
-                self._observe(method, path, status, latency, access)
-                keep_alive = headers.get("connection", "").lower() != "close"
-                await self._write_response(writer, status, payload, keep_alive)
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+    # -- requests ----------------------------------------------------------
 
     def _observe(
         self,
@@ -260,41 +402,11 @@ class SolvabilityServer:
                 batch_size=access.get("batch_size"),
             )
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one HTTP/1.1 request, or ``None`` on a closed socket."""
-        try:
-            request_line = await reader.readline()
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            return None
-        if not request_line:
-            return None
-        parts = request_line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            raise ProtocolError(f"malformed request line {request_line!r}")
-        method, path, _version = parts
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        raw_length = headers.get("content-length", "0") or "0"
-        if not (raw_length.isascii() and raw_length.isdigit()):
-            raise ProtocolError(f"malformed Content-Length {raw_length!r}")
-        length = int(raw_length)
-        if length > MAX_BODY_BYTES:
-            raise ProtocolError(f"request body of {length} bytes is too large")
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
-
     def _next_request_id(self, content: str) -> str:
         """``<content-derived 12 hex>.<per-process sequence>``.
 
         The prefix is the request's content key (or a hash of the
-        method+path for non-solve endpoints), so identical requests
+        method+path for requests without one), so identical requests
         share a greppable prefix; the sequence disambiguates the
         individual occurrence.  Event-loop-only increment — no lock.
         """
@@ -303,11 +415,14 @@ class SolvabilityServer:
 
     async def _route(
         self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Union[Dict[str, Any], Tuple[str, str]], Dict[str, Any]]:
+    ) -> Answer:
         path, _, query = path.partition("?")
+        route = _ROUTE_LABELS.get(path, "not_found")
+        if path == "/v1/solve" and method == "POST":
+            return await self._solve(body, {"route": route})
         access: Dict[str, Any] = {
             "request_id": self._next_request_id(content_hash(f"{method} {path}")),
-            "route": _ROUTE_LABELS.get(path, "not_found"),
+            "route": route,
         }
         if path == "/healthz":
             if method != "GET":
@@ -325,51 +440,71 @@ class SolvabilityServer:
                 return 200, snapshot, access
             return 200, (prometheus_text(snapshot), "text/plain; version=0.0.4"), access
         if path == "/v1/solve":
-            if method != "POST":
-                return 405, {"error": "solve is POST-only"}, access
-            return await self._solve(body, access)
+            return 405, {"error": "solve is POST-only"}, access
         return 404, {"error": f"no route {path!r}"}, access
 
     async def _solve(
         self, body: bytes, access: Dict[str, Any]
-    ) -> Tuple[int, Dict[str, Any], Dict[str, Any]]:
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return 400, {"error": f"request body is not JSON: {exc}"}, access
-        spelling = canonical_dumps(payload)
-        known = self._keymap.get(spelling)
+    ) -> Answer:
+        known = self._keymap.get(body)
         if known is not None:
-            key, canonical = known
             self.recorder.add_counter("service.keymap.hit")
         else:
             try:
-                req = parse_request(payload)
-                task = resolve_task(req.task)
-                canonical = canonical_body(req, task)
+                known = self._canonicalize(body)
             except ProtocolError as exc:
+                access["request_id"] = self._next_request_id(_SOLVE_ID)
                 return 400, {"error": str(exc)}, access
-            key = json_hash(canonical)
-            self._keymap[spelling] = (key, canonical)
-        self.recorder.add_counter(f"service.op.{canonical['op']}")
-        # re-derive the id from the content key so the access log, the
-        # span attr and the cache entry all share one greppable prefix
-        request_id = self._next_request_id(key)
+            self._keymap[body] = known
+        hit = self._probe(*known, access)
+        if hit is not None:
+            return 200, hit, access
+        return await self._decide(*known, access)
+
+    @staticmethod
+    def _canonicalize(body: bytes) -> Tuple[str, Dict[str, Any]]:
+        """The content key and canonical body of a never-seen request body.
+
+        This *builds the task* (a zoo constructor plus tagged
+        re-serialization, tens of ms for the bigger complexes), which is
+        why the keymap remembers the result per body.
+        """
+        try:
+            payload = json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ProtocolError(f"request body is not JSON: {exc}") from None
+        req = parse_request(payload)
+        canonical = canonical_body(req, resolve_task(req.task))
+        return json_hash(canonical), canonical
+
+    def _probe(
+        self, key: str, canonical: Dict[str, Any], access: Dict[str, Any]
+    ) -> Optional[bytes]:
+        """Count a keyed solve request and probe the cache for it, once.
+
+        The request id derives from the content key, so the access log,
+        the span attr and the cache entry share one greppable prefix.
+        """
+        op = canonical["op"]
+        self.recorder.add_counter(f"service.op.{op}")
         access.update(
-            request_id=request_id,
-            op=canonical["op"],
-            key_prefix=key[:12],
+            request_id=self._next_request_id(key), op=op, key_prefix=key[:12]
         )
         hit = self.cache.get(key)
         if hit is not None:
             access["cache_tier"] = "memory"
-            return 200, dict(hit, cached=True), access
+        return hit
+
+    async def _decide(
+        self, key: str, canonical: Dict[str, Any], access: Dict[str, Any]
+    ) -> Answer:
+        """Resolve a cache miss through the batch queue."""
         # submit the *canonical* body so every spelling of the same
         # request coalesces onto one in-flight computation; the request
         # id rides as a transport-only key the worker strips before
         # execution (and the keymap's stored dict is never mutated)
         response, info = await self.batches.submit_ex(
-            key, dict(canonical, _request_id=request_id)
+            key, dict(canonical, _request_id=access["request_id"])
         )
         access.update(
             cache_tier=None,
@@ -383,29 +518,6 @@ class SolvabilityServer:
         ):
             return 500, response, access
         return 200, response, access
-
-    async def _write_response(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Union[Dict[str, Any], Tuple[str, str]],
-        keep_alive: bool,
-    ) -> None:
-        if isinstance(payload, tuple):
-            text, content_type = payload
-            body = text.encode("utf-8")
-        else:
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
-            content_type = "application/json"
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            "\r\n"
-        ).encode("latin-1")
-        writer.write(head + body)
-        await writer.drain()
 
     # -- introspection -----------------------------------------------------
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.service.cache import VerdictCache
+import json
+
+from repro.service.cache import VerdictCache, hit_body
 from repro.service.protocol import make_response
 
 
@@ -32,13 +34,25 @@ class TestMemoryLevel:
         cache.put(key, _response(key))
         rec = cache.recorder
         before = rec.counters.get("service.cache.hit.memory", 0)
-        assert cache.get(key) == _response(key)
+        assert cache.get(key) == json.dumps(
+            dict(_response(key), cached=True), sort_keys=True
+        ).encode()
         assert rec.counters.get("service.cache.hit.memory", 0) == before + 1
         stats = cache.stats()
         assert stats["hits_memory"] == 1
         assert stats["hits_disk"] == 0
         assert stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
+
+    def test_size_is_the_stored_body_length(self):
+        cache = VerdictCache()
+        for key in ("c" * 40, "d" * 40, "c" * 40):
+            cache.put(key, _response(key))
+        assert cache.memory_size_stats() == {
+            "entries": 2,
+            "approx_bytes": len(hit_body(_response("c" * 40)))
+            + len(hit_body(_response("d" * 40))),
+        }
 
     def test_failures_are_never_cached(self):
         cache = VerdictCache()

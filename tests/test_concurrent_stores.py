@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.service.cache import VerdictCache
+from repro.service.cache import VerdictCache, hit_body
 from repro.service.protocol import make_response
 from repro.topology import diskstore
 
@@ -79,8 +79,8 @@ class TestVerdictCacheConcurrency:
                 k = keys[i % len(keys)]
                 cache.put(k, responses[k])
                 got = cache.get(k)
-                assert got is None or got == responses[k]
+                assert got is None or got == hit_body(responses[k])
 
         assert _race(8, work) == []
         for k in keys:
-            assert cache.get(k) == responses[k]
+            assert cache.get(k) == hit_body(responses[k])
