@@ -736,9 +736,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=POOL_KINDS,
         default=DEFAULT_POOL,
         help=f"worker pool kind (default {DEFAULT_POOL}: decides run in "
-        "forked worker processes, off the event loop; 'thread' keeps the "
-        "decide path's spans and counters in the server; 'inline' executes "
-        "on the event loop, for debugging)",
+        "forked worker processes that the event loop feeds and reads over "
+        "pipes; 'thread' keeps the decide path's spans and counters in the "
+        "server; 'inline' executes on the event loop, for debugging)",
     )
     p.add_argument(
         "--access-log",

@@ -269,7 +269,7 @@ class Recorder:
         return _ActiveSpan(self, SpanRecord(name, attrs))
 
     def add_counter(self, name: str, value: float = 1.0, /, **labels: str) -> None:
-        key = self._series(name, labels) if labels else name
+        key = self.series(name, **labels) if labels else name
         self.counters[key] = self.counters.get(key, 0.0) + value
 
     def histogram(self, name: str, /, **labels: str) -> LatencyHistogram:
@@ -281,7 +281,7 @@ class Recorder:
     def _instrument(self, table: Dict[str, Any], kind: Any, name: str, labels: Any) -> Any:
         """One series' instrument, created on first use; ``setdefault``
         hands two racing creators the same one."""
-        key = self._series(name, labels)
+        key = self.series(name, **labels)
         found = table.get(key)
         return found if found is not None else table.setdefault(key, kind())
 
@@ -289,8 +289,12 @@ class Recorder:
         """Register a gauge read at export time, not pushed on change."""
         self.gauge_fns[name] = fn
 
-    def _series(self, name: str, labels: Dict[str, Any]) -> str:
-        """The flat key ``name{k="v",...}`` of one series."""
+    def series(self, name: str, /, **labels: Any) -> str:
+        """The flat key ``name{k="v",...}`` of one series.
+
+        ``add_counter(key)`` counts into that series: a caller that counts
+        one labelled series often can build its key once.
+        """
         if not labels:
             return name
         key = name + "{" + ",".join(f'{k}="{v}"' for k, v in sorted(labels.items())) + "}"

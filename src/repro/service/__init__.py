@@ -18,8 +18,9 @@ is the long-running layer that makes that true:
   transforms and towers);
 * :mod:`repro.service.batch` — per-shard batch queues with in-flight
   coalescing between the asyncio front end and the worker pool;
-* :mod:`repro.service.workers` — the worker-pool backend running the
-  existing decide path;
+* :mod:`repro.service.workers` — the worker pools (inline, a thread
+  pool, fork-started processes fed over pipes) running the existing
+  decide path;
 * :mod:`repro.service.server` — the stdlib asyncio HTTP server;
 * :mod:`repro.service.client` — the blocking client and the zipf-skewed
   load generator behind ``repro serve-soak`` and CI's replay gate;

@@ -1,12 +1,12 @@
 """Per-shard batch queues between the asyncio front end and the pool.
 
-Cache misses do not hit the executor one by one.  Each request key is
-assigned to a shard (a stable function of the key's leading hex), every
-shard owns an :class:`asyncio.Queue` plus one dispatcher task, and a
-dispatcher drains its queue into batches of up to ``batch_size``
-requests before handing the batch to the worker pool in a single
-executor hop — so a thundering herd of distinct specs costs
-``ceil(n / batch_size)`` dispatches per shard, not ``n``.
+Cache misses do not reach the worker pool one by one.  Each request key
+is assigned to a shard (a stable function of the key's leading hex),
+every shard owns an :class:`asyncio.Queue` plus one dispatcher task, and
+a dispatcher drains its queue into batches of up to ``batch_size``
+requests before awaiting the pool once for the whole batch (see
+:mod:`repro.service.workers`) — so a thundering herd of distinct specs
+costs ``ceil(n / batch_size)`` dispatches per shard, not ``n``.
 
 Duplicate keys never reach the pool twice: a key with a batch already in
 flight **coalesces** onto the in-flight future
@@ -24,11 +24,14 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..obs.recorder import Recorder
 from .cache import VerdictCache
 from .protocol import make_response
+
+if TYPE_CHECKING:
+    from .workers import InlinePool
 
 #: sentinel that tells a shard dispatcher to exit
 _SHUTDOWN = object()
@@ -68,8 +71,7 @@ class BatchQueue:
 
     def __init__(
         self,
-        backend: Callable[[List[Dict[str, Any]]], List[Dict[str, Any]]],
-        pool: Optional[Any],
+        pool: InlinePool,
         *,
         shards: int = 2,
         batch_size: int = 8,
@@ -80,7 +82,6 @@ class BatchQueue:
             raise ValueError(f"shards must be at least 1, got {shards}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-        self._backend = backend
         self._pool = pool
         self.shards = shards
         self.batch_size = batch_size
@@ -179,14 +180,8 @@ class BatchQueue:
             info.queue_wait_seconds = dispatch_at - enqueued_at
             info.batch_size = len(batch)
         payloads = [payload for (_key, payload, _fut, _t, _info) in batch]
-        loop = asyncio.get_running_loop()
         try:
-            if self._pool is None:
-                results = self._backend(payloads)
-            else:
-                results = await loop.run_in_executor(
-                    self._pool, self._backend, payloads
-                )
+            results = await self._pool.run(payloads)
         except Exception as exc:
             # the transport boundary: a defect in one batch must not kill
             # the shard dispatcher (the server maps these to HTTP 500;

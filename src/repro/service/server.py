@@ -60,7 +60,7 @@ from .protocol import (
     canonical_body,
     parse_request,
 )
-from .workers import DEFAULT_POOL, make_pool, run_request_batch, start_pool
+from .workers import DEFAULT_POOL, make_pool, run_request_batch
 
 #: maximum accepted request body, in bytes (task JSON is small; a larger
 #: body is almost certainly a client bug or abuse)
@@ -253,6 +253,18 @@ class _Connection(asyncio.Protocol):
         self._buffer.clear()
 
 
+class _Bound(dict):
+    """Label value -> the instrument of its series, made on first use."""
+
+    def __init__(self, make: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, value: Any) -> Any:
+        instrument = self[value] = self._make(value)
+        return instrument
+
+
 @dataclass
 class ServerConfig:
     """Tunables for one :class:`SolvabilityServer` instance."""
@@ -274,9 +286,10 @@ class SolvabilityServer:
         self.config = config or ServerConfig()
         self.recorder = Recorder()
         self.cache = VerdictCache(recorder=self.recorder)
-        self._pool = make_pool(self.config.pool, self.config.workers)
+        self._pool = make_pool(
+            self.config.pool, self.config.workers, run_request_batch
+        )
         self.batches = BatchQueue(
-            run_request_batch,
             self._pool,
             shards=self.config.shards,
             batch_size=self.config.batch_size,
@@ -294,6 +307,17 @@ class SolvabilityServer:
         self.sampler: Optional[ResourceSampler] = None
         self._started_monotonic: Optional[float] = None
         self._request_seq = 0  # event-loop-only; suffixes request ids
+        # _observe's instruments, one per label value, each made when a
+        # response first needs it (as the recorder would make it)
+        rec = self.recorder
+        self._responses = _Bound(lambda s: rec.series("http_responses", status=str(s)))
+        self._meters = _Bound(rec.meter)
+        self._op_latency = _Bound(
+            lambda op: rec.histogram("request_latency_seconds", op=op)
+        )
+        self._tier_latency = _Bound(
+            lambda tier: rec.histogram("tier_latency_seconds", tier=tier)
+        )
         for name, fn in self._gauge_sources().items():
             self.recorder.gauge_fn(name, fn)
 
@@ -323,7 +347,7 @@ class SolvabilityServer:
         the sampler thread and the resolver thread of ``create_server``
         exist.
         """
-        start_pool(self._pool)
+        self._pool.start()
         self._started_monotonic = time.monotonic()
         if self.config.access_log:
             self.access_log = AccessLog(self.config.access_log)
@@ -344,9 +368,7 @@ class SolvabilityServer:
             await self._server.wait_closed()
             self._server = None
         await self.batches.stop()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        self._pool.close()
         if self.sampler is not None:
             self.sampler.stop()
         if self.access_log is not None:
@@ -374,19 +396,18 @@ class SolvabilityServer:
 
         A request too malformed to route has no ``route`` and no latency.
         """
-        rec = self.recorder
-        rec.add_counter("http_responses", status=str(status))
-        rec.meter("requests").record()
+        self.recorder.add_counter(self._responses[status])
+        self._meters["requests"].record()
         if status >= 400:
-            rec.meter("errors").record()
+            self._meters["errors"].record()
         op = access.get("op") or access.get("route")
         if op is not None:
-            rec.histogram("request_latency_seconds", op=op).record(latency)
+            self._op_latency[op].record(latency)
         tier = access.get("cache_tier")
         if access.get("op"):  # solve requests only: tier is meaningful
-            rec.histogram("tier_latency_seconds", tier=tier or "miss").record(latency)
+            self._tier_latency[tier or "miss"].record(latency)
         if access.get("coalesced"):
-            rec.meter("coalesced").record()
+            self._meters["coalesced"].record()
         if self.access_log is not None:
             self.access_log.write(
                 request_id=access.get("request_id", "-"),

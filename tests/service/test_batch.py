@@ -9,6 +9,7 @@ import pytest
 from repro.service.batch import BatchQueue, shard_of
 from repro.service.cache import VerdictCache
 from repro.service.protocol import make_response
+from repro.service.workers import InlinePool
 
 
 def _backend_ok(payloads):
@@ -42,7 +43,7 @@ class TestBatching:
             return _backend_ok(payloads)
 
         async def run():
-            queue = BatchQueue(backend, None, shards=2, batch_size=8)
+            queue = BatchQueue(InlinePool(backend), shards=2, batch_size=8)
             await queue.start()
             results = await asyncio.gather(
                 *(
@@ -66,7 +67,7 @@ class TestBatching:
             return _backend_ok(payloads)
 
         async def run():
-            queue = BatchQueue(backend, None, shards=1, batch_size=8)
+            queue = BatchQueue(InlinePool(backend), shards=1, batch_size=8)
             await queue.start()
             key = _key(7)
             results = await asyncio.gather(
@@ -81,7 +82,7 @@ class TestBatching:
 
     def test_dispatch_counts_land_in_the_recorder(self):
         async def run():
-            queue = BatchQueue(_backend_ok, None, shards=1, batch_size=8)
+            queue = BatchQueue(InlinePool(_backend_ok), shards=1, batch_size=8)
             await queue.start()
             key = _key(5)
             await asyncio.gather(
@@ -106,7 +107,7 @@ class TestBatching:
             return _backend_ok(payloads)
 
         async def run():
-            queue = BatchQueue(backend, None, shards=1, batch_size=8)
+            queue = BatchQueue(InlinePool(backend), shards=1, batch_size=8)
             await queue.start()
             first = await queue.submit(_key(1), {"key": _key(1), "n": 1})
             # the dispatcher survived: a later submit still works
@@ -129,7 +130,7 @@ class TestBatching:
 
         async def run(cache):
             queue = BatchQueue(
-                backend, None, shards=1, batch_size=4, cache=cache
+                InlinePool(backend), shards=1, batch_size=4, cache=cache
             )
             await queue.start()
             await queue.submit(_key(3), {"key": _key(3), "n": 3})
@@ -141,6 +142,6 @@ class TestBatching:
 
     def test_constructor_validates_shape(self):
         with pytest.raises(ValueError):
-            BatchQueue(_backend_ok, None, shards=0)
+            BatchQueue(InlinePool(_backend_ok), shards=0)
         with pytest.raises(ValueError):
-            BatchQueue(_backend_ok, None, batch_size=0)
+            BatchQueue(InlinePool(_backend_ok), batch_size=0)
